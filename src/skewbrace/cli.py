@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (invalid brace, bad Gauss code,
-failed move check) with the witness printed, 2 usage or IO error.
+failed move check, a coloring search past its frontier budget) with the
+witness printed, 2 usage or IO error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .biquandle import AxiomViolation, derive_biquandle, is_involutive
 from .closures import enumerate_ideals
-from .coloring import counting_invariant, enumerate_colorings
+from .coloring import SearchTooLarge, counting_invariant, enumerate_colorings
 from .gauss import (
     GaussCodeError,
     LinkDiagram,
@@ -32,6 +33,9 @@ from .moves import InvalidLocation
 from .tables import SkewBrace, ValidationError, is_star_commutative, load_brace_file
 
 __all__ = ["main"]
+
+
+_JOBS_HELP = "accepted for compatibility; has no effect"
 
 
 class _UsageError(Exception):
@@ -98,8 +102,9 @@ def _cmd_color(args) -> int:
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
     system = build_constraints(diagram)
+    colorings = enumerate_colorings(brace, diagram)
     print("# semiarc " + " ".join(str(i) for i in range(system.semiarc_count)))
-    for coloring in enumerate_colorings(brace, diagram, jobs=args.jobs):
+    for coloring in colorings:
         print(" ".join(str(c) for c in coloring))
     return 0
 
@@ -108,13 +113,13 @@ def _cmd_invariant(args) -> int:
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
     if args.type == "count":
-        value = counting_invariant(brace, diagram, jobs=args.jobs)
+        value = counting_invariant(brace, diagram)
         print(json.dumps({"count": value}) if args.json else value)
         return 0
     poly = (
-        sb_polynomial(brace, diagram, jobs=args.jobs)
+        sb_polynomial(brace, diagram)
         if args.type == "sb"
-        else ideal_polynomial(brace, diagram, jobs=args.jobs)
+        else ideal_polynomial(brace, diagram)
     )
     if args.json:
         print(json.dumps({"terms": poly.json_terms()}))
@@ -127,7 +132,7 @@ def _cmd_check_moves(args) -> int:
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
     result = move_invariance_trials(
-        brace, diagram, trials=args.trials, seed=args.seed, jobs=args.jobs
+        brace, diagram, trials=args.trials, seed=args.seed
     )
     print(f"base sb: {result.base_sb}")
     print(f"base ideal: {result.base_ideal}")
@@ -148,7 +153,7 @@ def _cmd_batch(args) -> int:
     with open(args.linkfile, encoding="utf-8") as fh:
         links = parse_link_file(fh.read())
     for name, diagram in links.items():
-        sb, ideal = both_polynomials(brace, diagram, jobs=args.jobs)
+        sb, ideal = both_polynomials(brace, diagram)
         print(f"{name}: count={sb.specialize()} sb={sb} ideal={ideal}")
     return 0
 
@@ -175,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_link_opts(p):
         p.add_argument("link", help="link file or inline Gauss code")
         p.add_argument("--name", help="link name when the link argument is a file")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads")
+        p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("color", help="enumerate all colorings of a link")
     p.add_argument("brace")
@@ -199,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="all invariants for every link in a file")
     p.add_argument("brace")
     p.add_argument("linkfile")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(func=_cmd_batch)
 
     return parser
@@ -213,7 +218,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, AxiomViolation, GaussCodeError, InvalidLocation) as exc:
+    except (
+        ValidationError, AxiomViolation, GaussCodeError, InvalidLocation, SearchTooLarge
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _UsageError as exc:

@@ -12,36 +12,49 @@ outgoing arcs exchanged. Completing a crossing from its two entering arcs
 which is what makes kink and poke insertions preserve colorings inside
 any ambient diagram.
 
-The search compiles each diagram into a straight-line plan: a sequence of
-seed-digit choices and single-lookup relation rows. Each relation either
-propagates one semiarc from two known ones or, once everything it touches
-is assigned, filters the candidate. When a crossing is left with exactly
-two undetermined semiarcs that no single relation can reach, the compiler
-brute-solves the crossing's full relation system ahead of time and emits
-lookup rows from the precomputed tables, provided the completion is
-unique for every value combination; otherwise it spends a seed digit.
+The search compiles each diagram into a straight-line plan of digit rows
+and single-lookup relation rows. A digit row tries every value on one
+semiarc. A relation row either propagates one semiarc from two known ones
+or, once everything it touches is assigned, filters. When a crossing is
+left with exactly two undetermined semiarcs that no single relation can
+reach, the compiler brute-solves the crossing's full relation system ahead
+of time and emits lookup rows from the precomputed tables, provided the
+completion is unique for every value combination; otherwise it spends a
+digit row. Digits are placed at the crossing with the fewest open
+semiarcs so each one unlocks as much propagation as possible.
 
-Choices are placed at the crossing with the fewest open semiarcs so each
-seed digit unlocks as much propagation as possible; the materialized
-colorings are sorted once at the end to present lexicographic order.
+The plan runs breadth first over a frontier: an array of partial
+colorings, one row per partial coloring and one column per semiarc. A
+digit row of the plan repeats every partial coloring n times and tiles
+the new digit, a relation row gathers columns through its table, and a
+filter row drops the partial colorings it rejects. Digit rows come in a
+fixed order, so the frontier is always in the lexicographic order of the
+digits chosen so far. Counting stops at the last filter row: each partial
+coloring left then completes in exactly n**(digit rows left) ways.
+
+The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
+times semiarcs). A digit row that would pass that bound splits the
+frontier into ordered chunks and runs the rest of the plan on each chunk
+in turn, depth first, which keeps the order. Enumeration raises
+`SearchTooLarge` once the colorings it must return pass the same bound.
+The colorings are sorted once at the end to present lexicographic order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-import os
 
 import numpy as np
 
-from . import backends
 from .biquandle import Biquandle, derive_biquandle
 from .gauss import LinkDiagram, SemiarcSystem, build_constraints
 from .tables import SkewBrace
 
 __all__ = [
     "Coloring",
+    "SearchTooLarge",
     "enumerate_colorings",
     "counting_invariant",
     "brute_force_colorings",
@@ -51,7 +64,13 @@ __all__ = [
 Coloring = tuple[int, ...]
 
 _BRUTE_LIMIT = 10**7
-_SEED_LIMIT = 1 << 62
+# the most cells (partial colorings times semiarcs) one frontier may hold,
+# and the most an enumeration may return
+_FRONTIER_CELLS = 1 << 22
+
+
+class SearchTooLarge(ValueError):
+    """A coloring search needs more than the frontier budget allows."""
 
 # crossing relations per sign, as (dst, table, src_a, src_b) over the slot
 # tuple (in_u, in_o, out_u, out_o) and the table stack (U, O, Ui, Oi):
@@ -136,13 +155,23 @@ def _pair_solution(
 
 @dataclass(frozen=True)
 class CompiledPlan:
+    """A diagram's search plan over one biquandle.
+
+    `plan` has one int64 row [kind, a, b, dst, t, mode] per step:
+
+        kind 0: digit row; try every value on semiarc a (b is the digit's
+                ordinal)
+        kind 1: relation row; v = tbl[t, vals[a], vals[b]], then write
+                vals[dst] = v (mode 0) or drop the partial coloring unless
+                vals[dst] == v (mode 1)
+
+    `tbl` stacks U, O, Ui, Oi and then the pair-solution tables.
+    """
+
     plan: np.ndarray
     tbl: np.ndarray
     n: int
     semiarc_count: int
-    divs: np.ndarray
-    total: int
-    choice_arcs: tuple[int, ...]
 
 
 @lru_cache(maxsize=512)
@@ -234,12 +263,6 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
         known[v] = True
 
     assert all(f0 and f1 for f0, f1 in fired)
-    n = bq.n
-    k = len(choice_arcs)
-    total = n**k
-    if total > _SEED_LIMIT:
-        raise ValueError("coloring search space exceeds the 64-bit seed range")
-    divs = np.array([n ** (k - 1 - j) for j in range(k)], dtype=np.int64)
     plan = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
     tbl = _base_tables(bq)
     if extra:
@@ -247,24 +270,9 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
     return CompiledPlan(
         plan=plan,
         tbl=tbl,
-        n=n,
+        n=bq.n,
         semiarc_count=s,
-        divs=divs,
-        total=total,
-        choice_arcs=tuple(choice_arcs),
     )
-
-
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        jobs = int(os.environ.get("SKEWBRACE_JOBS", "1"))
-    return max(1, jobs)
-
-
-def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    k = max(1, min(jobs, total))
-    bounds = [total * i // k for i in range(k + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(k) if bounds[i] < bounds[i + 1]]
 
 
 def _compiled_for(brace: SkewBrace, d: LinkDiagram) -> CompiledPlan:
@@ -272,59 +280,87 @@ def _compiled_for(brace: SkewBrace, d: LinkDiagram) -> CompiledPlan:
     return _compile(bq, build_constraints(d))
 
 
+def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[np.ndarray]:
+    """Run plan rows [0, stop) breadth first; yield the surviving partial
+    colorings as (m, semiarc_count) blocks, in digit order."""
+    n, s = cp.n, cp.semiarc_count
+    rows = cp.plan[:stop].tolist()
+    dtype = np.min_scalar_type(n - 1)
+    # tables flattened to T[a * n + b]
+    tbl = cp.tbl.reshape(len(cp.tbl), n * n).astype(dtype)
+    digits = np.arange(n, dtype=dtype)
+    step = _FRONTIER_CELLS // (n * s)
+
+    def walk(front: np.ndarray, first: int) -> Iterator[np.ndarray]:
+        for r in range(first, stop):
+            kind, a, b, dst, t, mode = rows[r]
+            m = front.shape[0]
+            if kind == 0:
+                if m > step:
+                    if step == 0:
+                        raise SearchTooLarge(
+                            f"{n} partial colorings of {s} semiarcs pass the "
+                            f"frontier budget of {_FRONTIER_CELLS} cells"
+                        )
+                    # each chunk passes this row within budget; the row's
+                    # repeat copies the chunk before anything writes to it
+                    for lo in range(0, m, step):
+                        yield from walk(front[lo : lo + step], r)
+                    return
+                front = np.repeat(front, n, axis=0)
+                front[:, a] = np.tile(digits, m)
+                continue
+            val = tbl[t].take(front[:, a] * np.intp(n) + front[:, b])
+            if mode == 0:
+                front[:, dst] = val
+            else:
+                front = front[front[:, dst] == val]
+                if front.shape[0] == 0:
+                    return
+        yield front
+
+    yield from walk(np.zeros((1, s), dtype=dtype), 0)
+
+
 def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> int:
-    """Number of colorings, without materializing them."""
+    """Number of colorings, without materializing them.
+
+    The search stops at the plan's last filter row. `jobs` is accepted
+    for compatibility and has no effect.
+    """
     cp = _compiled_for(brace, d)
-    jobs = _resolve_jobs(jobs)
-    parts = _ranges(cp.total, jobs)
-    if len(parts) == 1:
-        lo, hi = parts[0]
-        return backends.count_block(cp.plan, cp.tbl, cp.n, cp.semiarc_count, cp.divs, lo, hi)
-    with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-        futs = [
-            ex.submit(
-                backends.count_block, cp.plan, cp.tbl, cp.n, cp.semiarc_count, cp.divs, lo, hi
-            )
-            for lo, hi in parts
-        ]
-        return sum(f.result() for f in futs)
+    rows = cp.plan.tolist()
+    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1 and row[5] == 1), default=0)
+    free = sum(row[0] == 0 for row in rows[stop:])
+    return sum(f.shape[0] for f in _frontiers(cp, stop)) * cp.n**free
 
 
 def enumerate_colorings(
     brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
 ) -> list[Coloring]:
-    """All colorings as 1-based semiarc tuples, in lexicographic order."""
+    """All colorings as 1-based semiarc tuples, in lexicographic order.
+
+    Raises SearchTooLarge when the colorings would take more than
+    `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
+    no effect.
+    """
     cp = _compiled_for(brace, d)
-    jobs = _resolve_jobs(jobs)
-    parts = _ranges(cp.total, jobs)
     s = cp.semiarc_count
-
-    if len(parts) == 1:
-        lo, hi = parts[0]
-        cnt = backends.count_block(cp.plan, cp.tbl, cp.n, s, cp.divs, lo, hi)
-        out = np.empty((cnt, s), dtype=np.int64)
-        filled = backends.fill_block(cp.plan, cp.tbl, cp.n, s, cp.divs, lo, hi, out)
-        assert filled == cnt
-        return sorted(tuple(int(v) + 1 for v in row) for row in out)
-
-    with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-        counts = list(
-            ex.map(
-                lambda r: backends.count_block(cp.plan, cp.tbl, cp.n, s, cp.divs, r[0], r[1]),
-                parts,
+    blocks = []
+    found = 0
+    for front in _frontiers(cp, len(cp.plan)):
+        found += front.shape[0]
+        if found * s > _FRONTIER_CELLS:
+            raise SearchTooLarge(
+                f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs "
+                f"pass the budget of {_FRONTIER_CELLS} cells"
             )
-        )
-        out = np.empty((sum(counts), s), dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-
-        def fill(i: int) -> int:
-            lo, hi = parts[i]
-            view = out[offsets[i] : offsets[i + 1]]
-            return backends.fill_block(cp.plan, cp.tbl, cp.n, s, cp.divs, lo, hi, view)
-
-        filled = list(ex.map(fill, range(len(parts))))
-    assert filled == counts
-    return sorted(tuple(int(v) + 1 for v in row) for row in out)
+        blocks.append(front)
+    if not blocks:
+        return []
+    out = np.concatenate(blocks)
+    out = out[np.lexsort(out.T[::-1])].astype(np.int64) + 1
+    return [tuple(row) for row in out.tolist()]
 
 
 def brute_force_colorings(

@@ -6,7 +6,6 @@ from skewbrace import (
     bundled_brace_names,
     bundled_links,
     load_bundled_brace,
-    set_backend,
 )
 
 BRACE_NAMES = bundled_brace_names()
@@ -22,29 +21,3 @@ def braces():
 def links():
     return bundled_links()
 
-
-# Decided by numba's own import, not by skewbrace.backends.HAS_NUMBA, so a
-# package that fails to pick up a working numba still shows up as a failure.
-try:
-    import numba  # noqa: F401
-
-    NUMBA_IMPORTABLE = True
-except ImportError:
-    NUMBA_IMPORTABLE = False
-
-
-@pytest.fixture(
-    params=[
-        pytest.param(
-            "numba",
-            marks=pytest.mark.skipif(
-                not NUMBA_IMPORTABLE, reason="numba is not importable"
-            ),
-        ),
-        "numpy",
-    ]
-)
-def backend(request):
-    set_backend(request.param)
-    yield request.param
-    set_backend("auto")

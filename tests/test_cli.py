@@ -33,6 +33,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, **env_extra):
+    """Run `python -m skewbrace.cli` in a child with `src` on the path."""
+    env = dict(os.environ, **env_extra)
+    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run(
+        [sys.executable, "-m", "skewbrace.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 def test_validate_ok(capsys):
     code, out, err = run(capsys, "validate", NAB6)
     assert code == 0
@@ -128,6 +141,34 @@ def test_invariant_rejects_bad_code(capsys):
     assert "exactly once over and once under" in err
 
 
+UNLINK21 = " / ".join(["-"] * 21)
+
+
+def test_too_many_colorings_is_a_domain_error():
+    out = run_process("color", INV8, UNLINK21)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ")
+
+
+def test_count_past_64_bits(capsys):
+    code, out, err = run(capsys, "invariant", INV8, UNLINK21, "--type", "count")
+    assert code == 0
+    assert out == f"{8**21}\n" == "9223372036854775808\n"
+    assert err == ""
+
+
+def test_jobs_variable_is_ignored():
+    argv = ("invariant", NAB6, LINKS, "--name", "trefoil")
+    plain = run_process(*argv)
+    assert plain.returncode == 0
+    assert plain.stdout == "12\n"
+    out = run_process(*argv, SKEWBRACE_JOBS="two")
+    assert (out.returncode, out.stdout, out.stderr) == (0, plain.stdout, plain.stderr)
+
+
 def test_link_file_requires_name_when_ambiguous(capsys):
     code, _, err = run(capsys, "invariant", NAB6, LINKS)
     assert code == 2
@@ -186,14 +227,6 @@ def test_entry_point_declared():
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"skewbrace": "skewbrace.cli:main"}
 
-    env = dict(os.environ)
-    path = [str(ROOT / "src"), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
-    out = subprocess.run(
-        [sys.executable, "-m", "skewbrace.cli", "validate", NAB6],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    out = run_process("validate", NAB6)
     assert out.returncode == 0
     assert out.stdout == "valid skew brace, n=6, *-commutative: no, involutive: no\n"

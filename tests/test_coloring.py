@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from skewbrace import (
+    SearchTooLarge,
     brute_force_colorings,
     build_constraints,
     counting_invariant,
@@ -66,13 +67,13 @@ FIG8_INV8 = {
 }
 
 
-def test_counts_match_fixture_table(braces, links, backend):
+def test_counts_match_fixture_table(braces, links):
     for bn, per_link in COUNTS.items():
         for ln, expected in per_link.items():
             assert counting_invariant(braces[bn], links[ln]) == expected
 
 
-def test_enumeration_agrees_with_count(braces, links, backend):
+def test_enumeration_agrees_with_count(braces, links):
     for bn, per_link in COUNTS.items():
         for ln, expected in per_link.items():
             cols = enumerate_colorings(braces[bn], links[ln])
@@ -81,7 +82,7 @@ def test_enumeration_agrees_with_count(braces, links, backend):
             assert cols == sorted(cols)
 
 
-def test_trefoil_nab6_coloring_set(braces, links, backend):
+def test_trefoil_nab6_coloring_set(braces, links):
     assert enumerate_colorings(braces["nab6"], links["trefoil"]) == TREFOIL_NAB6
 
 
@@ -95,7 +96,7 @@ def test_vhopf_z4_klein_exclusions(braces, links):
     assert got == everything - {(2, 2), (2, 4), (4, 2), (4, 4)}
 
 
-def test_inv8_coloring_sets(braces, links, backend):
+def test_inv8_coloring_sets(braces, links):
     assert set(enumerate_colorings(braces["inv8"], links["vhopf"])) == VHOPF_INV8
     assert set(enumerate_colorings(braces["inv8"], links["trefoil"])) == TREFOIL_INV8
     assert set(enumerate_colorings(braces["inv8"], links["fig8"])) == FIG8_INV8
@@ -143,6 +144,9 @@ def test_jobs_split_is_deterministic(braces, links):
 
 
 def test_seed_space_guard(braces):
-    code = " / ".join(["-"] * 21)
-    with pytest.raises(ValueError):
-        counting_invariant(braces["inv8"], parse_gauss_code(code))
+    # 21 free semiarcs: the count is exact past 64 bits, but the colorings
+    # themselves would take 8**21 * 21 cells
+    unlink21 = parse_gauss_code(" / ".join(["-"] * 21))
+    assert counting_invariant(braces["inv8"], unlink21) == 8**21
+    with pytest.raises(SearchTooLarge):
+        enumerate_colorings(braces["inv8"], unlink21)
