@@ -1,16 +1,24 @@
 """Closure computations inside a skew brace.
 
-Subsets are plain frozensets of 1-based elements; the ambient structure is
-passed alongside rather than stored. All closures are worklist fixpoints,
-so termination follows from finiteness.
+Subsets come in as any iterable of 1-based elements and go out as
+frozensets; the ambient structure is passed alongside rather than stored.
+Inside, a subset is a Python-int bitmask with bit x - 1 set for element x,
+so the carrier size has no limit.
+
+Each closure is a fixpoint over one table built once per structure from
+its operation tables and cached: `pair[x][y]` holds the bits that members
+x and y force into the subset, and the mask takes in `pair[x][y]` for all
+of its members x, y until it stops changing. Termination follows from
+finiteness.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .biquandle import Biquandle
-from .tables import FiniteGroup, SkewBrace
+from .tables import FiniteGroup, OperationTable, SkewBrace
 
 __all__ = [
     "EmptyGenerators",
@@ -22,6 +30,8 @@ __all__ = [
 ]
 
 Subset = frozenset[int]
+# pair[x][y] as a bitmask over 0-based elements
+Pairs = list[list[int]]
 
 # powerset enumeration of ideals is kept below this carrier size
 _POWERSET_LIMIT = 16
@@ -39,53 +49,103 @@ def _require_nonempty(s) -> set[int]:
     return out
 
 
+def _to_mask(s) -> int:
+    m = 0
+    for x in _require_nonempty(s):
+        m |= 1 << (x - 1)
+    return m
+
+
+def _members(m: int) -> list[int]:
+    """0-based elements of a mask, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _from_mask(m: int) -> Subset:
+    return frozenset(x + 1 for x in _members(m))
+
+
+def _fixpoint(pair: Pairs, m: int) -> int:
+    while True:
+        xs = _members(m)
+        new = m
+        for x in xs:
+            row = pair[x]
+            for y in xs:
+                new |= row[y]
+        if new == m:
+            return m
+        m = new
+
+
+@lru_cache(maxsize=64)
+def _bits(table: OperationTable) -> Pairs:
+    """Table of 1 << (x op y), 0-based."""
+    return [[1 << (v - 1) for v in row] for row in table.entries.tolist()]
+
+
+@lru_cache(maxsize=64)
+def _biquandle_pairs(under: OperationTable, over: OperationTable) -> Pairs:
+    return [
+        [u | o for u, o in zip(urow, orow)]
+        for urow, orow in zip(_bits(under), _bits(over))
+    ]
+
+
+@lru_cache(maxsize=64)
+def _ideal_pairs(brace: SkewBrace) -> Pairs:
+    n = brace.n
+    circ = brace.circ.table.entries.tolist()
+    star = brace.star.table.entries.tolist()
+    ci = [brace.circ.inv(z + 1) - 1 for z in range(n)]
+    si = [brace.star.inv(z + 1) - 1 for z in range(n)]
+
+    def c(x: int, y: int) -> int:
+        return circ[x][y] - 1
+
+    def s(x: int, y: int) -> int:
+        return star[x][y] - 1
+
+    # y^circ circ x
+    pair = [[1 << c(ci[y], x) for y in range(n)] for x in range(n)]
+    # the conditions on x alone go on the diagonal, since (x, x) is a pair
+    # of every mask that holds x
+    for x in range(n):
+        for z in range(n):
+            pair[x][x] |= 1 << s(s(si[z], x), z)     # z^star star x star z
+            pair[x][x] |= 1 << c(c(ci[z], x), z)     # z^circ circ x circ z
+            pair[x][x] |= 1 << s(si[z], c(z, x))     # z^star star (z circ x)
+    return pair
+
+
+def _group_mask(group: FiniteGroup, m: int) -> int:
+    return _fixpoint(_bits(group.table), m)
+
+
+def _biquandle_mask(bq: Biquandle, m: int) -> int:
+    return _fixpoint(_biquandle_pairs(bq.under, bq.over), m)
+
+
+def _ideal_mask(brace: SkewBrace, m: int) -> int:
+    return _fixpoint(_ideal_pairs(brace), m)
+
+
 def group_closure(group: FiniteGroup, s) -> Subset:
     """Smallest subset containing s closed under the group operation.
 
     Inverses and the identity come for free in a finite group.
     """
-    members = _require_nonempty(s)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in tuple(members):
-            for z in (group.op(x, y), group.op(y, x)):
-                if z not in members:
-                    members.add(z)
-                    work.append(z)
-    return frozenset(members)
+    return _from_mask(_group_mask(group, _to_mask(s)))
 
 
 def biquandle_closure(bq: Biquandle, s) -> Subset:
     """Smallest superset of s closed under the under and over operations."""
-    members = _require_nonempty(s)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for y in tuple(members):
-            for z in (
-                bq.under.value(x, y),
-                bq.over.value(x, y),
-                bq.under.value(y, x),
-                bq.over.value(y, x),
-            ):
-                if z not in members:
-                    members.add(z)
-                    work.append(z)
-    return frozenset(members)
-
-
-def _ideal_steps(brace: SkewBrace, x: int, members) -> list[int]:
-    circ, star = brace.circ, brace.star
-    out = []
-    for y in tuple(members):
-        # y^circ circ x
-        out.append(circ.op(circ.inv(y), x))
-    for z in range(1, brace.n + 1):
-        out.append(star.op(star.op(star.inv(z), x), z))   # z^star star x star z
-        out.append(circ.op(circ.op(circ.inv(z), x), z))   # z^circ circ x circ z
-        out.append(star.op(star.inv(z), circ.op(z, x)))   # z^star star (z circ x)
-    return out
+    return _from_mask(_biquandle_mask(bq, _to_mask(s)))
 
 
 def ideal_closure(brace: SkewBrace, s) -> Subset:
@@ -93,21 +153,7 @@ def ideal_closure(brace: SkewBrace, s) -> Subset:
 
     Always contains the identity, since y^circ circ y = e.
     """
-    members = _require_nonempty(s)
-    work = list(members)
-    while work:
-        x = work.pop()
-        for z in _ideal_steps(brace, x, members):
-            if z not in members:
-                members.add(z)
-                work.append(z)
-        # condition one pairs new members with x as the y argument too
-        for y in tuple(members):
-            z = brace.circ.op(brace.circ.inv(x), y)
-            if z not in members:
-                members.add(z)
-                work.append(z)
-    return frozenset(members)
+    return _from_mask(_ideal_mask(brace, _to_mask(s)))
 
 
 def is_ideal(brace: SkewBrace, s) -> bool:

@@ -335,14 +335,12 @@ def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
     return sum(f.shape[0] for f in _frontiers(cp, stop)) * cp.n**free
 
 
-def enumerate_colorings(
-    brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
-) -> list[Coloring]:
-    """All colorings as 1-based semiarc tuples, in lexicographic order.
+def _coloring_array(brace: SkewBrace, d: LinkDiagram) -> np.ndarray:
+    """All colorings as one (m, semiarc_count) array of 0-based colors, in
+    the frontier's order.
 
     Raises SearchTooLarge when the colorings would take more than
-    `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
-    no effect.
+    `_FRONTIER_CELLS` cells.
     """
     cp = _compiled_for(brace, d)
     s = cp.semiarc_count
@@ -357,8 +355,22 @@ def enumerate_colorings(
             )
         blocks.append(front)
     if not blocks:
+        return np.zeros((0, s), dtype=np.min_scalar_type(cp.n - 1))
+    return np.concatenate(blocks)
+
+
+def enumerate_colorings(
+    brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
+) -> list[Coloring]:
+    """All colorings as 1-based semiarc tuples, in lexicographic order.
+
+    Raises SearchTooLarge when the colorings would take more than
+    `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
+    no effect.
+    """
+    out = _coloring_array(brace, d)
+    if not len(out):
         return []
-    out = np.concatenate(blocks)
     out = out[np.lexsort(out.T[::-1])].astype(np.int64) + 1
     return [tuple(row) for row in out.tolist()]
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .biquandle import Biquandle
-from .closures import biquandle_closure, group_closure, ideal_closure
-from .coloring import derived_biquandle, enumerate_colorings
+import numpy as np
+
+from .closures import _biquandle_mask, _group_mask, _ideal_mask
+from .coloring import _coloring_array, derived_biquandle
 from .gauss import LinkDiagram
 from .moves import random_diagram_walk
 from .tables import SkewBrace
@@ -124,33 +126,52 @@ class Polynomial1:
         return hash(tuple(sorted(self.terms.items())))
 
 
+# (brace, color set) profiles kept; a brace of order n has 2**n - 1 color
+# sets, 666 for the six bundled braces together
+_PROFILE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
+def _image_profile(brace: SkewBrace, colors: int) -> tuple[int, int, int]:
+    """Closure sizes (a, b, c) for a coloring whose used colors are the
+    bitmask `colors`, bit x - 1 for color x.
+
+    The image is the biquandle closure of the colors; a and b are the
+    sizes of its circ- and star-group closures, c that of its ideal
+    closure.
+    """
+    image = _biquandle_mask(derived_biquandle(brace), colors)
+    return (
+        _group_mask(brace.circ, image).bit_count(),
+        _group_mask(brace.star, image).bit_count(),
+        _ideal_mask(brace, image).bit_count(),
+    )
+
+
 def both_polynomials(
     brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
 ) -> tuple[Polynomial2, Polynomial1]:
     """Both enhancements from a single enumeration pass.
 
-    Each coloring's image (the biquandle closure of its used colors) is
-    measured three ways: circ- and star-group closure sizes feed the
-    two-variable polynomial, the ideal closure size the one-variable one.
+    Each coloring reduces to the set of colors it uses, and colorings with
+    the same set share one monomial: the set's image (its biquandle
+    closure) is measured three ways, the circ- and star-group closure sizes
+    feeding the two-variable polynomial and the ideal closure size the
+    one-variable one. Each distinct set is measured once through a bounded
+    cache keyed by (brace, color set). `jobs` is accepted for
+    compatibility and has no effect.
     """
-    bq = derived_biquandle(brace)
-    memo: dict[frozenset[int], tuple[int, int, int]] = {}
+    cols = _coloring_array(brace, d)
+    used = np.zeros((cols.shape[0], brace.n), dtype=bool)
+    used[np.arange(cols.shape[0])[:, None], cols] = True
+    sets, counts = np.unique(used, axis=0, return_counts=True)
+    packed = np.packbits(sets, axis=1, bitorder="little")
     terms2: dict[tuple[int, int], int] = {}
     terms1: dict[int, int] = {}
-    for coloring in enumerate_colorings(brace, d, jobs=jobs):
-        colors = frozenset(coloring)
-        hit = memo.get(colors)
-        if hit is None:
-            image = biquandle_closure(bq, colors)
-            hit = (
-                len(group_closure(brace.circ, image)),
-                len(group_closure(brace.star, image)),
-                len(ideal_closure(brace, image)),
-            )
-            memo[colors] = hit
-        a, b, c = hit
-        terms2[(a, b)] = terms2.get((a, b), 0) + 1
-        terms1[c] = terms1.get(c, 0) + 1
+    for row, mult in zip(packed, counts.tolist()):
+        a, b, c = _image_profile(brace, int.from_bytes(row.tobytes(), "little"))
+        terms2[(a, b)] = terms2.get((a, b), 0) + mult
+        terms1[c] = terms1.get(c, 0) + mult
     return Polynomial2(terms2), Polynomial1(terms1)
 
 

@@ -153,6 +153,30 @@ def test_too_many_colorings_is_a_domain_error():
     assert out.stderr.startswith("error: ")
 
 
+BUDGET_ERROR = (
+    "error: more than 199728 colorings of 21 semiarcs pass the budget of 4194304 cells\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", INV8, UNLINK21, "--type", "sb"),
+        ("invariant", INV8, UNLINK21, "--type", "ideal", "--json"),
+        ("batch", INV8, "LINKFILE"),
+    ],
+    ids=["sb", "ideal-json", "batch"],
+)
+def test_polynomials_past_the_budget_are_a_domain_error(argv, tmp_path):
+    linkfile = tmp_path / "unlink21.txt"
+    linkfile.write_text(f"unlink21 := {UNLINK21}\n")
+    out = run_process(*(str(linkfile) if a == "LINKFILE" else a for a in argv))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert out.stderr == BUDGET_ERROR
+
+
 def test_count_past_64_bits(capsys):
     code, out, err = run(capsys, "invariant", INV8, UNLINK21, "--type", "count")
     assert code == 0

@@ -1,24 +1,33 @@
-"""The frontier kernel against the brute-force oracle on random diagrams,
-and against itself under a frontier budget small enough to force chunks."""
+"""The frontier kernel and both polynomials against the brute-force and
+powerset oracles on random diagrams, and the kernel against itself under a
+frontier budget small enough to force chunks."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrace import (
+    Polynomial1,
+    Polynomial2,
     SearchTooLarge,
+    both_polynomials,
     brute_force_colorings,
     build_constraints,
     bundled_links,
     counting_invariant,
+    derived_biquandle,
     enumerate_colorings,
+    is_ideal,
     load_bundled_brace,
     parse_gauss_code,
 )
-from skewbrace import coloring
+from skewbrace import coloring, invariants
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 ORACLE_SPACE = 10**6
@@ -79,6 +88,77 @@ def test_pair_solution_rows_are_oracle_checked():
         code = random_code(rng, rng.randint(2, 4), rng.randint(1, 3))
         pair_plans += check_against_oracle(parse_gauss_code(code))
     assert pair_plans >= 20
+
+
+@cache
+def closed_subsets(name: str) -> dict[str, list[frozenset[int]]]:
+    """Every nonempty subset of the brace's carrier closed under each of
+    the four closures, smallest first."""
+    brace = braces[name]
+    bq = derived_biquandle(brace)
+    subsets = [
+        frozenset(c)
+        for k in range(1, brace.n + 1)
+        for c in combinations(range(1, brace.n + 1), k)
+    ]
+
+    def closed(*tables):
+        return [t for t in subsets if all(tb.value(x, y) in t for tb in tables for x in t for y in t)]
+
+    return {
+        "biquandle": closed(bq.under, bq.over),
+        "circ": closed(brace.circ.table),
+        "star": closed(brace.star.table),
+        "ideal": [t for t in subsets if is_ideal(brace, t)],
+    }
+
+
+def reference_polynomials(name: str, d) -> tuple[Polynomial2, Polynomial1]:
+    """Both polynomials from brute-force colorings, each closure taken as
+    the smallest closed superset among all subsets."""
+    closed = closed_subsets(name)
+
+    def smallest(kind, seed):
+        return next(t for t in closed[kind] if seed <= t)
+
+    terms2: Counter = Counter()
+    terms1: Counter = Counter()
+    for colors, mult in Counter(map(frozenset, brute_force_colorings(braces[name], d))).items():
+        image = smallest("biquandle", colors)
+        terms2[len(smallest("circ", image)), len(smallest("star", image))] += mult
+        terms1[len(smallest("ideal", image))] += mult
+    return Polynomial2(dict(terms2)), Polynomial1(dict(terms1))
+
+
+@given(
+    rng=st.randoms(use_true_random=False),
+    crossings=st.integers(0, 4),
+    components=st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, components):
+    d = parse_gauss_code(random_code(rng, crossings, components))
+    s = build_constraints(d).semiarc_count
+    for name, brace in braces.items():
+        if brace.n**s <= ORACLE_SPACE:
+            assert both_polynomials(brace, d) == reference_polynomials(name, d)
+
+
+def test_profile_cache_is_keyed_by_brace():
+    # nab6 and cyc6 close 12 of their color sets to different profiles,
+    # {2} to (3, 3, 3) on nab6 and to (6, 6, 6) on cyc6
+    rng = random.Random(11)
+    codes = [
+        parse_gauss_code(random_code(rng, rng.randint(0, 5), rng.randint(1, 3)))
+        for _ in range(30)
+    ]
+    pair = (braces["nab6"], braces["cyc6"])
+    invariants._image_profile.cache_clear()
+    interleaved = [[both_polynomials(brace, d) for brace in pair] for d in codes]
+    for d, got in zip(codes, interleaved):
+        for brace, polys in zip(pair, got):
+            invariants._image_profile.cache_clear()
+            assert both_polynomials(brace, d) == polys
 
 
 def chunk_cases():
