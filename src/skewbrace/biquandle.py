@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import OperationTable, SkewBrace
+from .tables import _CHUNK_CELLS, OperationTable, SkewBrace
 
 __all__ = [
     "Biquandle",
@@ -34,8 +34,6 @@ __all__ = [
     "r_map",
     "is_involutive",
 ]
-
-_CHUNK_CELLS = 1 << 24
 
 AXIOM_NAMES = (
     "fixed_point",
@@ -96,12 +94,12 @@ def _inverse_map(group) -> np.ndarray:
     return np.array([group.inv(x + 1) - 1 for x in range(group.n)], dtype=np.int64)
 
 
-def derive_biquandle(brace: SkewBrace, verify: bool = True) -> Biquandle:
-    """Build the four derived tables of a brace.
+def derive_biquandle(brace: SkewBrace) -> Biquandle:
+    """Build the four derived tables of a brace and check every biquandle
+    axiom on them.
 
-    With verify=True (the default) every biquandle axiom is rechecked on the
-    result and AxiomViolation is raised on the first failure; a validated
-    brace can never trigger it.
+    AxiomViolation is raised on the first failure; a validated brace can
+    never trigger it.
     """
     n = brace.n
     c0 = brace.circ.table.zero_based()
@@ -122,11 +120,10 @@ def derive_biquandle(brace: SkewBrace, verify: bool = True) -> Biquandle:
         over_inv=OperationTable(n, over_inv0 + 1),
         brace=brace,
     )
-    if verify:
-        report = verify_biquandle_axioms(bq)
-        if not report.passed:
-            bad = report.failures[0]
-            raise AxiomViolation(bad.name, bad.witness or ())
+    report = verify_biquandle_axioms(bq)
+    if not report.passed:
+        bad = report.failures[0]
+        raise AxiomViolation(bad.name, bad.witness or ())
     return bq
 
 

@@ -30,7 +30,7 @@ from .invariants import (
     sb_polynomial,
 )
 from .moves import InvalidLocation
-from .tables import SkewBrace, ValidationError, is_star_commutative, load_brace_file
+from .tables import SkewBrace, ValidationError, is_star_commutative, parse_brace_file
 
 __all__ = ["main"]
 
@@ -42,17 +42,36 @@ class _UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _load_brace(path: str) -> SkewBrace:
     if not os.path.exists(path):
         raise _UsageError(f"brace file not found: {path}")
-    return load_brace_file(path)
+    return parse_brace_file(_read_text(path))
 
 
 def _load_link(arg: str, name: str | None) -> tuple[str, LinkDiagram]:
     """A link argument is a file of named links or an inline Gauss code."""
     if os.path.exists(arg):
-        with open(arg, encoding="utf-8") as fh:
-            links = parse_link_file(fh.read())
+        links = parse_link_file(_read_text(arg))
         if not links:
             raise _UsageError(f"no links defined in {arg}")
         if name is None:
@@ -150,8 +169,7 @@ def _cmd_batch(args) -> int:
     brace = _load_brace(args.brace)
     if not os.path.exists(args.linkfile):
         raise _UsageError(f"link file not found: {args.linkfile}")
-    with open(args.linkfile, encoding="utf-8") as fh:
-        links = parse_link_file(fh.read())
+    links = parse_link_file(_read_text(args.linkfile))
     for name, diagram in links.items():
         sb, ideal = both_polynomials(brace, diagram)
         print(f"{name}: count={sb.specialize()} sb={sb} ideal={ideal}")
@@ -197,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-moves", help="test invariance under random moves")
     p.add_argument("brace")
     add_link_opts(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check_moves)
 

@@ -10,12 +10,15 @@ its operation tables and cached: `pair[x][y]` holds the bits that members
 x and y force into the subset, and the mask takes in `pair[x][y]` for all
 of its members x, y until it stops changing. Termination follows from
 finiteness.
+
+The ideals are enumerated over the same masks, by joining ideal closures
+of singletons; `is_ideal` checks the conditions directly and is the
+independent oracle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from .biquandle import Biquandle
 from .tables import FiniteGroup, OperationTable, SkewBrace
@@ -32,9 +35,6 @@ __all__ = [
 Subset = frozenset[int]
 # pair[x][y] as a bitmask over 0-based elements
 Pairs = list[list[int]]
-
-# powerset enumeration of ideals is kept below this carrier size
-_POWERSET_LIMIT = 16
 
 
 class EmptyGenerators(ValueError):
@@ -178,44 +178,25 @@ def _sort_key(s: Subset):
     return (len(s), tuple(sorted(s)))
 
 
-def _ideals_powerset(brace: SkewBrace) -> list[Subset]:
-    found = []
-    elems = range(1, brace.n + 1)
-    for size in range(1, brace.n + 1):
-        for combo in combinations(elems, size):
-            s = frozenset(combo)
-            if is_ideal(brace, s):
-                found.append(s)
-    return found
-
-
-def _ideals_from_closures(brace: SkewBrace) -> list[Subset]:
-    # closures of singletons generate; joins close the lattice upward
-    found = {ideal_closure(brace, {x}) for x in range(1, brace.n + 1)}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(tuple(found), 2):
-            j = ideal_closure(brace, a | b)
-            if j not in found:
-                found.add(j)
-                changed = True
-                break
-    return sorted(found, key=_sort_key)
-
-
-def enumerate_ideals(brace: SkewBrace, method: str = "auto") -> list[Subset]:
+def enumerate_ideals(brace: SkewBrace) -> list[Subset]:
     """All nonempty ideals, ascending by size then lexicographically.
 
-    The empty set vacuously satisfies the conditions but is excluded.
-    The powerset filter is exact for any size where it is feasible; the
-    closure-based search is used above the cutoff and agrees with it
-    wherever both run. Output always includes {e} and the full carrier.
+    Every ideal is the ideal closure of the union of its members'
+    singleton closures, so a worklist that joins each ideal found with
+    each singleton closure reaches all of them at any carrier size. The
+    empty set vacuously satisfies the conditions but is excluded; the
+    output always includes {e} and the full carrier.
     """
-    if method == "auto":
-        method = "powerset" if brace.n <= _POWERSET_LIMIT else "closure"
-    if method == "powerset":
-        return _ideals_powerset(brace)
-    if method == "closure":
-        return _ideals_from_closures(brace)
-    raise ValueError(f"unknown enumeration method {method!r}")
+    pair = _ideal_pairs(brace)
+    singles = {_fixpoint(pair, 1 << x) for x in range(brace.n)}
+    found = set(singles)
+    work = list(singles)
+    while work:
+        m = work.pop()
+        for s in singles:
+            if s & ~m:
+                j = _fixpoint(pair, m | s)
+                if j not in found:
+                    found.add(j)
+                    work.append(j)
+    return sorted(map(_from_mask, found), key=_sort_key)

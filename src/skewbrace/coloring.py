@@ -87,7 +87,7 @@ _INV1 = (2, 3, 0, 1)
 @lru_cache(maxsize=64)
 def derived_biquandle(brace: SkewBrace) -> Biquandle:
     """Cached derived biquandle of a validated brace."""
-    return derive_biquandle(brace, verify=True)
+    return derive_biquandle(brace)
 
 
 @lru_cache(maxsize=64)

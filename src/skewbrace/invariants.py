@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,10 +35,6 @@ __all__ = [
 ]
 
 
-def _format_terms(parts: list[str]) -> str:
-    return " + ".join(parts) if parts else "0"
-
-
 def _coeff_prefix(coeff: int) -> str:
     if coeff == 1:
         return ""
@@ -55,35 +52,44 @@ def _power(var: str, e: int) -> str:
 
 
 @dataclass(frozen=True)
-class Polynomial2:
-    """Integer polynomial in u and v; no zero coefficients stored."""
+class _Polynomial:
+    """Integer polynomial in `variables`; no zero coefficients stored.
 
-    terms: dict[tuple[int, int], int] = field(default_factory=dict)
+    A term's key is its exponent tuple, or the bare exponent when there
+    is one variable.
+    """
+
+    variables: ClassVar[tuple[str, ...]] = ()
+    terms: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         clean = {k: v for k, v in self.terms.items() if v != 0}
         object.__setattr__(self, "terms", clean)
 
-    def sorted_terms(self) -> list[tuple[int, int, int]]:
-        """(a, b, coeff) in canonical order: total degree then a, descending."""
-        keys = sorted(self.terms, key=lambda ab: (ab[0] + ab[1], ab[0]), reverse=True)
-        return [(a, b, self.terms[(a, b)]) for a, b in keys]
+    def sorted_terms(self) -> list[tuple[int, ...]]:
+        """(*exponents, coeff) in canonical order: total degree, then the
+        exponents, descending."""
+        rows = [
+            (*(k if isinstance(k, tuple) else (k,)), c) for k, c in self.terms.items()
+        ]
+        return sorted(rows, key=lambda r: (sum(r[:-1]), r[:-1]), reverse=True)
 
     def specialize(self) -> int:
         return sum(self.terms.values())
 
     def json_terms(self) -> list[dict[str, int]]:
-        return [{"u": a, "v": b, "coeff": c} for a, b, c in self.sorted_terms()]
+        keys = (*self.variables, "coeff")
+        return [dict(zip(keys, row)) for row in self.sorted_terms()]
 
     def __str__(self) -> str:
         parts = []
-        for a, b, c in self.sorted_terms():
-            body = _power("u", a) + _power("v", b)
+        for *exps, c in self.sorted_terms():
+            body = "".join(_power(var, e) for var, e in zip(self.variables, exps))
             parts.append(_coeff_prefix(c) + body if body else str(c))
-        return _format_terms(parts)
+        return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial2):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
@@ -91,39 +97,16 @@ class Polynomial2:
         return hash(tuple(sorted(self.terms.items())))
 
 
-@dataclass(frozen=True)
-class Polynomial1:
-    """Integer polynomial in u alone; no zero coefficients stored."""
+class Polynomial2(_Polynomial):
+    """Integer polynomial in u and v, keyed by (a, b) for u^a v^b."""
 
-    terms: dict[int, int] = field(default_factory=dict)
+    variables = ("u", "v")
 
-    def __post_init__(self) -> None:
-        clean = {k: v for k, v in self.terms.items() if v != 0}
-        object.__setattr__(self, "terms", clean)
 
-    def sorted_terms(self) -> list[tuple[int, int]]:
-        return [(a, self.terms[a]) for a in sorted(self.terms, reverse=True)]
+class Polynomial1(_Polynomial):
+    """Integer polynomial in u alone, keyed by a for u^a."""
 
-    def specialize(self) -> int:
-        return sum(self.terms.values())
-
-    def json_terms(self) -> list[dict[str, int]]:
-        return [{"u": a, "coeff": c} for a, c in self.sorted_terms()]
-
-    def __str__(self) -> str:
-        parts = []
-        for a, c in self.sorted_terms():
-            body = _power("u", a)
-            parts.append(_coeff_prefix(c) + body if body else str(c))
-        return _format_terms(parts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial1):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+    variables = ("u",)
 
 
 # (brace, color set) profiles kept; a brace of order n has 2**n - 1 color

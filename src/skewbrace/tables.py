@@ -7,7 +7,7 @@ scan order, so error fixtures are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,13 +81,18 @@ class IdentityMismatch(ValidationError):
 
 @dataclass(frozen=True)
 class OperationTable:
-    """An n x n table over carrier {1..n}; entries[x-1][y-1] = x op y."""
+    """An n x n table over carrier {1..n}; entries[x-1][y-1] = x op y.
+
+    The entries are a read-only copy of the input, so neither they nor the
+    hash, computed once because tables key many caches, can change later.
+    """
 
     n: int
     entries: np.ndarray
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.int64)
+        arr = np.array(self.entries, dtype=np.int64)
         if arr.shape != (self.n, self.n):
             raise TableMalformed(f"expected a {self.n}x{self.n} table, got shape {arr.shape}")
         if self.n < 1:
@@ -100,6 +105,7 @@ class OperationTable:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "_hash", hash((self.n, arr.tobytes())))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> OperationTable:
@@ -118,7 +124,7 @@ class OperationTable:
         return self.n == other.n and bool(np.array_equal(self.entries, other.entries))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.entries.tobytes()))
+        return self._hash
 
 
 @dataclass(frozen=True)

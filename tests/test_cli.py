@@ -218,6 +218,36 @@ def test_check_moves(capsys):
     ]
 
 
+def test_check_moves_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "check-moves", Z4K, LINKS, "--name", "vhopf", "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ")
+    assert "--trials" in err.splitlines()[-1]
+
+
+def test_check_moves_accepts_zero_trials(capsys):
+    code, out, _ = run(capsys, "check-moves", Z4K, LINKS, "--name", "vhopf", "--trials", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "trials: 0, all invariant: yes"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "BAD"), ("invariant", NAB6, "BAD"), ("batch", NAB6, "BAD")],
+    ids=["validate", "invariant", "batch"],
+)
+def test_non_utf8_input_is_an_io_error(argv, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    out = run_process(*(str(bad) if a == "BAD" else a for a in argv))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: ") and str(bad) in out.stderr
+
+
 def test_batch_output(capsys):
     code, out, _ = run(capsys, "batch", INV8, LINKS)
     assert code == 0

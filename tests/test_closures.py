@@ -6,11 +6,13 @@ import pytest
 
 from skewbrace import (
     EmptyGenerators,
+    OperationTable,
     biquandle_closure,
     enumerate_ideals,
     group_closure,
     ideal_closure,
     is_ideal,
+    validate_skew_brace,
 )
 from skewbrace.coloring import derived_biquandle
 
@@ -111,14 +113,21 @@ def test_enumerate_ideals_frozen_lists(braces):
         assert got == IDEALS[name]
 
 
-def test_enumerate_ideals_methods_agree(braces):
+def _powerset_ideals(brace):
+    found = [t for t in _all_subsets(brace.n) if is_ideal(brace, t)]
+    return sorted(found, key=lambda t: (len(t), sorted(t)))
+
+
+def test_enumerate_ideals_matches_powerset_filter(braces):
     for brace in braces.values():
-        auto = enumerate_ideals(brace)
-        assert enumerate_ideals(brace, method="powerset") == auto
-        assert enumerate_ideals(brace, method="closure") == auto
-        assert all(is_ideal(brace, t) for t in auto)
+        assert enumerate_ideals(brace) == _powerset_ideals(brace)
 
 
-def test_enumerate_ideals_rejects_unknown_method(braces):
-    with pytest.raises(ValueError):
-        enumerate_ideals(braces["cyc6"], method="guess")
+@pytest.mark.parametrize("n", [18, 24])
+def test_trivial_cyclic_ideals_are_the_subgroups(n):
+    # element k + 1 stands for k in Z_n; the ideals are the subgroups dZ_n
+    add = OperationTable.from_rows([[(x + y) % n + 1 for y in range(n)] for x in range(n)])
+    brace = validate_skew_brace(add, add)
+    want = [frozenset(range(1, n + 1, d)) for d in range(n, 0, -1) if n % d == 0]
+    assert enumerate_ideals(brace) == want
+    assert all(is_ideal(brace, t) for t in want)

@@ -53,6 +53,16 @@ def test_star_commutativity_flags(braces):
     assert got == STAR_COMMUTATIVE
 
 
+def test_table_owns_its_entries():
+    rows = np.array(CYCLIC4, dtype=np.int64)
+    view = rows[:]
+    table = OperationTable(4, rows)
+    before = hash(table)
+    view[0, 0] = 2
+    assert table.entries.tolist() == CYCLIC4
+    assert hash(table) == before == hash(OperationTable.from_rows(CYCLIC4))
+
+
 def test_group_inverses(braces):
     for brace in braces.values():
         for g in (brace.circ, brace.star):
