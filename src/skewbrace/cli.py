@@ -12,13 +12,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .biquandle import AxiomViolation, derive_biquandle, is_involutive
 from .closures import enumerate_ideals
-from .coloring import SearchTooLarge, counting_invariant, enumerate_colorings
+from .coloring import SearchTooLarge, _sorted_colorings, counting_invariant
 from .gauss import (
     GaussCodeError,
     LinkDiagram,
-    build_constraints,
     looks_like_gauss_code,
     parse_gauss_code,
     parse_link_file,
@@ -117,14 +118,28 @@ def _cmd_ideals(args) -> int:
     return 0
 
 
+def _coloring_lines(cols: np.ndarray, n: int) -> str:
+    """One line of 1-based colors per row of `cols`, spaces between them.
+
+    Token t < n is color t + 1 and a space, token n + t the same color and
+    a newline; every row becomes its tokens, the last one offset by n,
+    gathered from one byte table and cut to each token's true length.
+    """
+    words = [f"{c} " for c in range(1, n + 1)] + [f"{c}\n" for c in range(1, n + 1)]
+    width = max(map(len, words))
+    table = np.array([list(w.ljust(width).encode()) for w in words], dtype=np.uint8)
+    keep = np.arange(width) < np.array([len(w) for w in words])[:, None]
+    tokens = cols.astype(np.min_scalar_type(2 * n - 1))
+    tokens[:, -1] += n
+    return table[tokens][keep[tokens]].tobytes().decode("ascii")
+
+
 def _cmd_color(args) -> int:
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
-    system = build_constraints(diagram)
-    colorings = enumerate_colorings(brace, diagram)
-    print("# semiarc " + " ".join(str(i) for i in range(system.semiarc_count)))
-    for coloring in colorings:
-        print(" ".join(str(c) for c in coloring))
+    cols = _sorted_colorings(brace, diagram)
+    header = "# semiarc " + " ".join(str(i) for i in range(cols.shape[1])) + "\n"
+    sys.stdout.write(header + _coloring_lines(cols, brace.n))
     return 0
 
 

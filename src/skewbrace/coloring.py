@@ -37,7 +37,10 @@ times semiarcs). A digit row that would pass that bound splits the
 frontier into ordered chunks and runs the rest of the plan on each chunk
 in turn, depth first, which keeps the order. Enumeration raises
 `SearchTooLarge` once the colorings it must return pass the same bound.
-The colorings are sorted once at the end to present lexicographic order.
+The polynomials read the colorings unsorted. Lexicographic order comes
+from `_sorted_colorings`, one sort of the whole array: `enumerate_colorings`
+turns its rows into tuples, and the CLI's `color` formats it as text
+without a loop over colorings.
 """
 
 from __future__ import annotations
@@ -359,6 +362,12 @@ def _coloring_array(brace: SkewBrace, d: LinkDiagram) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _sorted_colorings(brace: SkewBrace, d: LinkDiagram) -> np.ndarray:
+    """`_coloring_array` with its rows in lexicographic order."""
+    out = _coloring_array(brace, d)
+    return out[np.lexsort(out.T[::-1])]
+
+
 def enumerate_colorings(
     brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
 ) -> list[Coloring]:
@@ -368,10 +377,7 @@ def enumerate_colorings(
     `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
     no effect.
     """
-    out = _coloring_array(brace, d)
-    if not len(out):
-        return []
-    out = out[np.lexsort(out.T[::-1])].astype(np.int64) + 1
+    out = _sorted_colorings(brace, d).astype(np.int64) + 1
     return [tuple(row) for row in out.tolist()]
 
 

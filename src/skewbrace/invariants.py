@@ -136,8 +136,9 @@ def both_polynomials(
 ) -> tuple[Polynomial2, Polynomial1]:
     """Both enhancements from a single enumeration pass.
 
-    Each coloring reduces to the set of colors it uses, and colorings with
-    the same set share one monomial: the set's image (its biquandle
+    Each coloring reduces to one key, the set of colors it uses packed
+    little-endian into bytes (bit x - 1 for color x), and colorings with
+    the same key share one monomial: the set's image (its biquandle
     closure) is measured three ways, the circ- and star-group closure sizes
     feeding the two-variable polynomial and the ideal closure size the
     one-variable one. Each distinct set is measured once through a bounded
@@ -145,14 +146,14 @@ def both_polynomials(
     compatibility and has no effect.
     """
     cols = _coloring_array(brace, d)
-    used = np.zeros((cols.shape[0], brace.n), dtype=bool)
-    used[np.arange(cols.shape[0])[:, None], cols] = True
-    sets, counts = np.unique(used, axis=0, return_counts=True)
-    packed = np.packbits(sets, axis=1, bitorder="little")
+    bits = np.packbits(np.eye(brace.n, dtype=bool), axis=1, bitorder="little")
+    keys = np.bitwise_or.reduce(bits[cols], axis=1)
+    keys = keys.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    sets, counts = np.unique(keys, return_counts=True)
     terms2: dict[tuple[int, int], int] = {}
     terms1: dict[int, int] = {}
-    for row, mult in zip(packed, counts.tolist()):
-        a, b, c = _image_profile(brace, int.from_bytes(row.tobytes(), "little"))
+    for key, mult in zip(sets.tolist(), counts.tolist()):
+        a, b, c = _image_profile(brace, int.from_bytes(key, "little"))
         terms2[(a, b)] = terms2.get((a, b), 0) + mult
         terms1[c] = terms1.get(c, 0) + mult
     return Polynomial2(terms2), Polynomial1(terms1)

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from skewbrace import build_constraints, enumerate_colorings, format_brace_file, parse_gauss_code
 from skewbrace.bundled import bundled_brace_path, bundled_links_path
 from skewbrace.cli import main
+
+from conftest import trivial_cyclic_brace
 
 NAB6 = bundled_brace_path("nab6")
 Z4K = bundled_brace_path("z4_klein")
@@ -97,6 +100,19 @@ def test_color_inline_code(capsys):
     assert len(lines) == 13
     assert lines[1] == "1 1 1 1 1 1"
     assert lines[4] == "4 4 5 6 6 5"
+
+
+def test_color_prints_multi_digit_colors(capsys, tmp_path):
+    brace = trivial_cyclic_brace(12)
+    path = tmp_path / "z12.txt"
+    path.write_text(format_brace_file(brace))
+    code = "O1+ / U1+ / -"
+    d = parse_gauss_code(code)
+    rows = enumerate_colorings(brace, d)
+    assert {10, 11, 12} <= {c for row in rows for c in row}
+    header = "# semiarc " + " ".join(map(str, range(build_constraints(d).semiarc_count)))
+    want = "".join(line + "\n" for line in [header, *(" ".join(map(str, row)) for row in rows)])
+    assert run(capsys, "color", str(path), code) == (0, want, "")
 
 
 def test_invariant_count(capsys):

@@ -6,15 +6,15 @@ import pytest
 
 from skewbrace import (
     EmptyGenerators,
-    OperationTable,
     biquandle_closure,
     enumerate_ideals,
     group_closure,
     ideal_closure,
     is_ideal,
-    validate_skew_brace,
 )
 from skewbrace.coloring import derived_biquandle
+
+from conftest import trivial_cyclic_brace
 
 IDEALS = {
     "klein_z4": [(1,), (1, 3), (1, 2, 3, 4)],
@@ -125,9 +125,8 @@ def test_enumerate_ideals_matches_powerset_filter(braces):
 
 @pytest.mark.parametrize("n", [18, 24])
 def test_trivial_cyclic_ideals_are_the_subgroups(n):
-    # element k + 1 stands for k in Z_n; the ideals are the subgroups dZ_n
-    add = OperationTable.from_rows([[(x + y) % n + 1 for y in range(n)] for x in range(n)])
-    brace = validate_skew_brace(add, add)
+    # the ideals are the subgroups dZ_n
+    brace = trivial_cyclic_brace(n)
     want = [frozenset(range(1, n + 1, d)) for d in range(n, 0, -1) if n % d == 0]
     assert enumerate_ideals(brace) == want
     assert all(is_ideal(brace, t) for t in want)

@@ -1,18 +1,28 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from skewbrace import (
     Polynomial1,
     Polynomial2,
+    biquandle_closure,
     both_polynomials,
     counting_invariant,
+    derived_biquandle,
+    enumerate_colorings,
     exponent_profile,
+    group_closure,
+    ideal_closure,
     ideal_polynomial,
     move_invariance_trials,
+    parse_gauss_code,
     sb_polynomial,
     specialize,
 )
+
+from conftest import trivial_cyclic_brace
 
 # (count, sb string, ideal string) per (brace, link)
 FIXTURES = {
@@ -61,6 +71,22 @@ def test_single_polynomial_entry_points(braces, links):
     sb, ideal = both_polynomials(braces["nab6"], links["trefoil"])
     assert sb_polynomial(braces["nab6"], links["trefoil"]) == sb
     assert ideal_polynomial(braces["nab6"], links["trefoil"]) == ideal
+
+
+@pytest.mark.parametrize("code", ["- / -", "O1+ / U1+"])
+def test_polynomials_past_64_colors(code):
+    # 70 colors: a coloring's color-set key spans 9 bytes
+    brace = trivial_cyclic_brace(70)
+    bq = derived_biquandle(brace)
+    d = parse_gauss_code(code)
+    terms2: Counter = Counter()
+    terms1: Counter = Counter()
+    for colors, mult in Counter(frozenset(c) for c in enumerate_colorings(brace, d)).items():
+        image = biquandle_closure(bq, colors)
+        terms2[(len(group_closure(brace.circ, image)), len(group_closure(brace.star, image)))] += mult
+        terms1[len(ideal_closure(brace, image))] += mult
+    assert max(terms1) == 70
+    assert both_polynomials(brace, d) == (Polynomial2(dict(terms2)), Polynomial1(dict(terms1)))
 
 
 def test_specialization_recovers_count(braces, links):
