@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import _CHUNK_CELLS, OperationTable, SkewBrace
+# is_involutive, a property of the brace, lives in tables and stays
+# importable from here
+from .tables import _CHUNK_CELLS, OperationTable, SkewBrace, _inverse_map, is_involutive  # noqa: F401
 
 __all__ = [
     "Biquandle",
@@ -32,7 +34,6 @@ __all__ = [
     "yb_map",
     "yb_map_inverse",
     "r_map",
-    "is_involutive",
 ]
 
 AXIOM_NAMES = (
@@ -88,10 +89,6 @@ class AxiomReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def _inverse_map(group) -> np.ndarray:
-    return np.array([group.inv(x + 1) - 1 for x in range(group.n)], dtype=np.int64)
 
 
 def derive_biquandle(brace: SkewBrace) -> Biquandle:
@@ -240,19 +237,3 @@ def r_map(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
     circ, star = brace.circ, brace.star
     a = star.op(star.inv(x), circ.op(x, y))
     return a, circ.op(circ.op(circ.inv(a), x), y)
-
-
-def is_involutive(brace: SkewBrace) -> bool:
-    """True iff r composed with itself is the identity on all pairs."""
-    n = brace.n
-    c0 = brace.circ.table.zero_based()
-    s0 = brace.star.table.zero_based()
-    cinv0 = _inverse_map(brace.circ)
-    sinv0 = _inverse_map(brace.star)
-    xs = np.arange(n)
-    # a[x,y] = x^star star (x circ y); b[x,y] = a^circ circ x circ y
-    a = s0[sinv0[:, None], c0]
-    b = c0[c0[cinv0[a], xs[:, None]], xs[None, :]]
-    aa = a[a, b]
-    bb = b[a, b]
-    return bool(np.array_equal(aa, xs[:, None].repeat(n, 1)) and np.array_equal(bb, xs[None, :].repeat(n, 0)))

@@ -3,35 +3,24 @@
 Exit codes: 0 success, 1 domain error (invalid brace, bad Gauss code,
 failed move check, a coloring search past its frontier budget) with the
 witness printed, 2 usage or IO error.
+
+Each command imports the modules it runs inside its `_cmd_*` function;
+only `tables` is imported at the top, since every command reads a brace.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .biquandle import AxiomViolation, derive_biquandle, is_involutive
-from .closures import enumerate_ideals
-from .coloring import SearchTooLarge, _sorted_colorings, counting_invariant
-from .gauss import (
-    GaussCodeError,
-    LinkDiagram,
-    looks_like_gauss_code,
-    parse_gauss_code,
-    parse_link_file,
-)
-from .invariants import (
-    both_polynomials,
-    ideal_polynomial,
-    move_invariance_trials,
-    sb_polynomial,
-)
-from .moves import InvalidLocation
-from .tables import SkewBrace, ValidationError, is_star_commutative, parse_brace_file
+from .tables import SkewBrace, is_involutive, is_star_commutative, parse_brace_file
+
+if TYPE_CHECKING:
+    from .gauss import LinkDiagram
 
 __all__ = ["main"]
 
@@ -41,6 +30,26 @@ _JOBS_HELP = "accepted for compatibility; has no effect"
 
 class _UsageError(Exception):
     pass
+
+
+# each domain error (exit 1) by the submodule that defines it
+_DOMAIN_ERRORS = {
+    "tables": "ValidationError",
+    "biquandle": "AxiomViolation",
+    "gauss": "GaussCodeError",
+    "moves": "InvalidLocation",
+    "coloring": "SearchTooLarge",
+}
+
+
+def _is_domain_error(exc: Exception) -> bool:
+    # an error cannot come from a module that was never imported, so only
+    # loaded modules are looked at, and this check imports none
+    for module, name in _DOMAIN_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
 
 
 def _read_text(path: str) -> str:
@@ -71,6 +80,8 @@ def _load_brace(path: str) -> SkewBrace:
 
 def _load_link(arg: str, name: str | None) -> tuple[str, LinkDiagram]:
     """A link argument is a file of named links or an inline Gauss code."""
+    from .gauss import looks_like_gauss_code, parse_gauss_code, parse_link_file
+
     if os.path.exists(arg):
         links = parse_link_file(_read_text(arg))
         if not links:
@@ -100,6 +111,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_biquandle(args) -> int:
+    from .biquandle import derive_biquandle
+
     brace = _load_brace(args.brace)
     bq = derive_biquandle(brace)
     print(bq.n)
@@ -112,6 +125,8 @@ def _cmd_biquandle(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    from .closures import enumerate_ideals
+
     brace = _load_brace(args.brace)
     for ideal in enumerate_ideals(brace):
         print(",".join(str(x) for x in sorted(ideal)))
@@ -135,6 +150,8 @@ def _coloring_lines(cols: np.ndarray, n: int) -> str:
 
 
 def _cmd_color(args) -> int:
+    from .coloring import _sorted_colorings
+
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
     cols = _sorted_colorings(brace, diagram)
@@ -144,25 +161,28 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    if args.type == "count":
+        from .coloring import counting_invariant as invariant
+    elif args.type == "sb":
+        from .invariants import sb_polynomial as invariant
+    else:
+        from .invariants import ideal_polynomial as invariant
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
-    if args.type == "count":
-        value = counting_invariant(brace, diagram)
-        print(json.dumps({"count": value}) if args.json else value)
-        return 0
-    poly = (
-        sb_polynomial(brace, diagram)
-        if args.type == "sb"
-        else ideal_polynomial(brace, diagram)
-    )
+    value = invariant(brace, diagram)
     if args.json:
-        print(json.dumps({"terms": poly.json_terms()}))
+        import json
+
+        out = {"count": value} if args.type == "count" else {"terms": value.json_terms()}
+        print(json.dumps(out))
     else:
-        print(poly)
+        print(value)
     return 0
 
 
 def _cmd_check_moves(args) -> int:
+    from .invariants import move_invariance_trials
+
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
     result = move_invariance_trials(
@@ -181,6 +201,9 @@ def _cmd_check_moves(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    from .gauss import parse_link_file
+    from .invariants import both_polynomials
+
     brace = _load_brace(args.brace)
     if not os.path.exists(args.linkfile):
         raise _UsageError(f"link file not found: {args.linkfile}")
@@ -251,17 +274,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ValidationError, AxiomViolation, GaussCodeError, InvalidLocation, SearchTooLarge
-    ) as exc:
+    except (_UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        if not _is_domain_error(exc):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ so the carrier size has no limit.
 Each closure is a fixpoint over one table built once per structure from
 its operation tables and cached: `pair[x][y]` holds the bits that members
 x and y force into the subset, and the mask takes in `pair[x][y]` for all
-of its members x, y until it stops changing. Termination follows from
-finiteness.
+of its members x, y until it stops changing; each round looks only at the
+pairs that hold a member added by the round before. Termination follows
+from finiteness.
 
 The ideals are enumerated over the same masks, by joining ideal closures
 of singletons; `is_ideal` checks the conditions directly and is the
@@ -19,9 +20,12 @@ independent oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .biquandle import Biquandle
 from .tables import FiniteGroup, OperationTable, SkewBrace
+
+if TYPE_CHECKING:
+    from .biquandle import Biquandle
 
 __all__ = [
     "EmptyGenerators",
@@ -71,16 +75,18 @@ def _from_mask(m: int) -> Subset:
 
 
 def _fixpoint(pair: Pairs, m: int) -> int:
-    while True:
+    # semi-naive: the members in `done` were paired with each other in an
+    # earlier round
+    done = 0
+    while m != done:
         xs = _members(m)
         new = m
-        for x in xs:
+        for x in _members(m & ~done):
             row = pair[x]
             for y in xs:
-                new |= row[y]
-        if new == m:
-            return m
-        m = new
+                new |= row[y] | pair[y][x]
+        done, m = m, new
+    return m
 
 
 @lru_cache(maxsize=64)

@@ -8,7 +8,6 @@ count.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
@@ -17,8 +16,7 @@ import numpy as np
 
 from .closures import _biquandle_mask, _group_mask, _ideal_mask
 from .coloring import _coloring_array, derived_biquandle
-from .gauss import LinkDiagram
-from .moves import random_diagram_walk
+from .gauss import LinkDiagram, format_gauss_code
 from .tables import SkewBrace
 
 __all__ = [
@@ -207,7 +205,9 @@ def move_invariance_trials(
     jobs: int | None = None,
 ) -> MoveTrialResult:
     """Compare both polynomials across seeded random move rewrites of d."""
-    from .gauss import format_gauss_code
+    import random
+
+    from .moves import random_diagram_walk
 
     rng = random.Random(seed)
     base_sb, base_ideal = both_polynomials(brace, d, jobs=jobs)

@@ -25,6 +25,7 @@ __all__ = [
     "validate_group",
     "validate_skew_brace",
     "is_star_commutative",
+    "is_involutive",
     "parse_brace_file",
     "format_brace_file",
     "load_brace_file",
@@ -230,6 +231,26 @@ def validate_skew_brace(circ: OperationTable, star: OperationTable) -> SkewBrace
 def is_star_commutative(brace: SkewBrace) -> bool:
     t = brace.star.table.entries
     return bool(np.array_equal(t, t.T))
+
+
+def _inverse_map(group: FiniteGroup) -> np.ndarray:
+    return np.array([group.inv(x + 1) - 1 for x in range(group.n)], dtype=np.int64)
+
+
+def is_involutive(brace: SkewBrace) -> bool:
+    """True iff r composed with itself is the identity on all pairs."""
+    n = brace.n
+    c0 = brace.circ.table.zero_based()
+    s0 = brace.star.table.zero_based()
+    cinv0 = _inverse_map(brace.circ)
+    sinv0 = _inverse_map(brace.star)
+    xs = np.arange(n)
+    # a[x,y] = x^star star (x circ y); b[x,y] = a^circ circ x circ y
+    a = s0[sinv0[:, None], c0]
+    b = c0[c0[cinv0[a], xs[:, None]], xs[None, :]]
+    aa = a[a, b]
+    bb = b[a, b]
+    return bool(np.array_equal(aa, xs[:, None].repeat(n, 1)) and np.array_equal(bb, xs[None, :].repeat(n, 0)))
 
 
 # ---------------------------------------------------------------------------

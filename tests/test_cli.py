@@ -193,6 +193,45 @@ def test_polynomials_past_the_budget_are_a_domain_error(argv, tmp_path):
     assert out.stderr == BUDGET_ERROR
 
 
+CODE_ERROR = "crossing 1 must appear exactly once over and once under"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("validate", "TABLE"), 1, "error: circ table: no inverse for 2\n"),
+        (("biquandle", "TABLE"), 1, "error: circ table: no inverse for 2\n"),
+        (("ideals", "TABLE"), 1, "error: circ table: no inverse for 2\n"),
+        (("color", NAB6, "O1+ U2+"), 1, f"error: {CODE_ERROR}\n"),
+        (("invariant", NAB6, "O1+ U2+", "--type", "sb"), 1, f"error: {CODE_ERROR}\n"),
+        (("check-moves", NAB6, "O1+ U2+"), 1, f"error: {CODE_ERROR}\n"),
+        (("batch", NAB6, "LINKFILE"), 1, f"error: line 1 (x): {CODE_ERROR}\n"),
+        (("color", INV8, UNLINK21), 1, BUDGET_ERROR),
+        (("color", NAB6, "NOTUTF8"), 2, "error: NOTUTF8 is not UTF-8 text: invalid start byte at byte 0\n"),
+    ],
+    ids=[
+        "validate", "biquandle", "ideals", "color", "invariant", "check-moves", "batch",
+        "color-budget", "color-not-utf8",
+    ],
+)
+def test_errors_in_a_fresh_process(argv, code, err, tmp_path):
+    """Each command family's errors in a process that imported only what the
+    command loads: one `error:` line, the documented exit code, no traceback."""
+    files = {
+        "TABLE": ("bad.txt", b"2\n1 2\n2 2\n\n1 2\n2 1\n"),
+        "LINKFILE": ("links.txt", b"x := O1+ U2+\n"),
+        "NOTUTF8": ("link.txt", b"\xff\xfe"),
+    }
+    paths = {}
+    for key, (name, data) in files.items():
+        paths[key] = tmp_path / name
+        paths[key].write_bytes(data)
+    out = run_process(*(str(paths.get(a, a)) for a in argv))
+    assert out.returncode == code
+    assert out.stdout == ""
+    assert out.stderr == err.replace("NOTUTF8", str(paths["NOTUTF8"]))
+
+
 def test_count_past_64_bits(capsys):
     code, out, err = run(capsys, "invariant", INV8, UNLINK21, "--type", "count")
     assert code == 0

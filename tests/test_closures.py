@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from skewbrace import (
     ideal_closure,
     is_ideal,
 )
+from skewbrace.closures import _fixpoint
 from skewbrace.coloring import derived_biquandle
 
 from conftest import trivial_cyclic_brace
@@ -130,3 +132,30 @@ def test_trivial_cyclic_ideals_are_the_subgroups(n):
     want = [frozenset(range(1, n + 1, d)) for d in range(n, 0, -1) if n % d == 0]
     assert enumerate_ideals(brace) == want
     assert all(is_ideal(brace, t) for t in want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fixpoint_matches_repeated_all_pairs_rounds(n):
+    """On arbitrary pair tables, not only those of groups, biquandles and
+    ideals, the closure equals rounds that pair every member with every
+    member until nothing changes."""
+
+    def reference(pair, m):
+        while True:
+            xs = [x for x in range(n) if m >> x & 1]
+            new = m
+            for x in xs:
+                for y in xs:
+                    new |= pair[x][y]
+            if new == m:
+                return m
+            m = new
+
+    rng = random.Random(n)
+    for _ in range(40):
+        pair = [
+            [1 << rng.randrange(n) if rng.random() < 0.3 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        for m in range(1, 1 << n):
+            assert _fixpoint(pair, m) == reference(pair, m)
