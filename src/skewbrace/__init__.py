@@ -64,6 +64,7 @@ _EXPORTS = {
     "apply_r2": "moves",
     "gap_locations": "moves",
     "random_move": "moves",
+    "random_diagram_walk": "moves",
     "enumerate_colorings": "coloring",
     "counting_invariant": "coloring",
     "brute_force_colorings": "coloring",

@@ -10,19 +10,26 @@ with right inverses
     x under_inv y = (y circ x) star y^star
     x over_inv y  = y^star star (y circ x)
 
-where ^circ and ^star denote group inverses. All four tables are
-materialized eagerly so later lookups are O(1).
+where ^circ and ^star denote group inverses. The four tables are built
+and their axioms checked in plain Python over 0-based row lists, as in
+`tables`; numpy is not imported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 # is_involutive, a property of the brace, lives in tables and stays
 # importable from here
-from .tables import _CHUNK_CELLS, OperationTable, SkewBrace, _inverse_map, is_involutive  # noqa: F401
+from .tables import (  # noqa: F401
+    OperationTable,
+    SkewBrace,
+    _first_difference,
+    _gather,
+    _inverse_map,
+    _zero_based_rows,
+    is_involutive,
+)
 
 __all__ = [
     "Biquandle",
@@ -99,22 +106,21 @@ def derive_biquandle(brace: SkewBrace) -> Biquandle:
     never trigger it.
     """
     n = brace.n
-    c0 = brace.circ.table.zero_based()
-    s0 = brace.star.table.zero_based()
+    c0 = _zero_based_rows(brace.circ.table)
+    s0 = _zero_based_rows(brace.star.table)
     cinv0 = _inverse_map(brace.circ)
     sinv0 = _inverse_map(brace.star)
+    xs = range(n)
 
-    under0 = c0[cinv0[None, :], s0]
-    over0 = c0[cinv0[None, :], s0.T]
-    under_inv0 = s0[c0.T, sinv0[None, :]]
-    over_inv0 = s0[sinv0[None, :], c0.T]
+    def table(value) -> OperationTable:
+        return OperationTable(n, [[value(x, y) + 1 for y in xs] for x in xs])
 
     bq = Biquandle(
         n=n,
-        under=OperationTable(n, under0 + 1),
-        over=OperationTable(n, over0 + 1),
-        under_inv=OperationTable(n, under_inv0 + 1),
-        over_inv=OperationTable(n, over_inv0 + 1),
+        under=table(lambda x, y: c0[cinv0[y]][s0[x][y]]),
+        over=table(lambda x, y: c0[cinv0[y]][s0[y][x]]),
+        under_inv=table(lambda x, y: s0[c0[y][x]][sinv0[y]]),
+        over_inv=table(lambda x, y: s0[sinv0[y]][c0[y][x]]),
         brace=brace,
     )
     report = verify_biquandle_axioms(bq)
@@ -124,74 +130,69 @@ def derive_biquandle(brace: SkewBrace) -> Biquandle:
     return bq
 
 
-def _check_fixed_point(u: np.ndarray, o: np.ndarray) -> AxiomCheck:
-    du = np.diagonal(u)
-    do = np.diagonal(o)
-    bad = np.flatnonzero(du != do)
-    if bad.size:
-        x = int(bad[0]) + 1
-        return AxiomCheck("fixed_point", False, (x,))
+Rows = list[tuple[int, ...]]  # 0-based
+
+
+def _check_fixed_point(u: Rows, o: Rows) -> AxiomCheck:
+    for x, (ux, ox) in enumerate(zip(u, o)):
+        if ux[x] != ox[x]:
+            return AxiomCheck("fixed_point", False, (x + 1,))
     return AxiomCheck("fixed_point", True, None)
 
 
-def _check_right_invertible(
-    u: np.ndarray, o: np.ndarray, ui: np.ndarray, oi: np.ndarray
-) -> AxiomCheck:
-    n = u.shape[0]
-    idx = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    ok = (
-        (u[ui, cols] == idx)
-        & (ui[u, cols] == idx)
-        & (o[oi, cols] == idx)
-        & (oi[o, cols] == idx)
-    )
-    if not ok.all():
-        x, y = np.argwhere(~ok)[0]
-        return AxiomCheck("right_invertible", False, (int(x) + 1, int(y) + 1))
+def _check_right_invertible(u: Rows, o: Rows, ui: Rows, oi: Rows) -> AxiomCheck:
+    # y -> x op y is inverted column by column: (x op y) op_inv y = x
+    for x in range(len(u)):
+        for y in range(len(u)):
+            if not (
+                u[ui[x][y]][y] == x
+                and ui[u[x][y]][y] == x
+                and o[oi[x][y]][y] == x
+                and oi[o[x][y]][y] == x
+            ):
+                return AxiomCheck("right_invertible", False, (x + 1, y + 1))
     return AxiomCheck("right_invertible", True, None)
 
 
-def _check_pair_bijective(u: np.ndarray, o: np.ndarray) -> AxiomCheck:
-    # S(x,y) = (y |> x, x <| y); encode image pairs as flat codes
-    n = u.shape[0]
-    codes = (o.T * n + u).ravel()
-    seen = np.zeros(n * n, dtype=bool)
-    for i, code in enumerate(codes):
-        if seen[code]:
-            return AxiomCheck("pair_bijective", False, (i // n + 1, i % n + 1))
-        seen[code] = True
+def _check_pair_bijective(u: Rows, o: Rows) -> AxiomCheck:
+    # S(x,y) = (y |> x, x <| y); the first pair whose image was seen before
+    seen = set()
+    for x, ux in enumerate(u):
+        for y, uxy in enumerate(ux):
+            image = (o[y][x], uxy)
+            if image in seen:
+                return AxiomCheck("pair_bijective", False, (x + 1, y + 1))
+            seen.add(image)
     return AxiomCheck("pair_bijective", True, None)
 
 
-def _check_exchange(u: np.ndarray, o: np.ndarray) -> list[AxiomCheck]:
-    n = u.shape[0]
-    ut = np.ascontiguousarray(u.T)
-    ot = np.ascontiguousarray(o.T)
-    block = max(1, _CHUNK_CELLS // (n * n))
-    results: dict[str, AxiomCheck] = {}
-    for lo in range(0, n, block):
-        xs = slice(lo, min(lo + block, n))
-        a_u = u[xs, :]
-        a_o = o[xs, :]
-        # law 1: (x<|y)<|(z<|y) == (x<|z)<|(y|>z)
-        # law 2: (x<|y)|>(z<|y) == (x|>z)<|(y|>z)
-        # law 3: (x|>y)|>(z|>y) == (x|>z)|>(y<|z)
-        pairs = (
-            ("exchange_1", u[a_u[:, :, None], ut[None, :, :]], u[a_u[:, None, :], o[None, :, :]]),
-            ("exchange_2", o[a_u[:, :, None], ut[None, :, :]], u[a_o[:, None, :], o[None, :, :]]),
-            ("exchange_3", o[a_o[:, :, None], ot[None, :, :]], o[a_o[:, None, :], u[None, :, :]]),
-        )
-        for name, lhs, rhs in pairs:
-            if name in results:
-                continue
-            if not np.array_equal(lhs, rhs):
-                x, y, z = np.argwhere(lhs != rhs)[0]
-                results[name] = AxiomCheck(name, False, (int(x) + lo + 1, int(y) + 1, int(z) + 1))
-    out = []
-    for name in ("exchange_1", "exchange_2", "exchange_3"):
-        out.append(results.get(name, AxiomCheck(name, True, None)))
-    return out
+def _check_law(name: str, p: Rows, q: Rows, r: Rows, s: Rows, t: Rows, w: Rows) -> AxiomCheck:
+    # p[q[x][y]][r[z][y]] == s[t[x][z]][w[y][z]]. With y and z fixed, each
+    # side is one column gathered over x, so every (y, z) gives its first
+    # failing x at once, and the least (x, y, z) is the row-major witness
+    p_cols, r_cols, s_cols = list(zip(*p)), list(zip(*r)), list(zip(*s))
+    by_q = [_gather(col) for col in zip(*q)]
+    by_t = [_gather(col) for col in zip(*t)]
+    first = None
+    for y, (q_y, r_y, w_y) in enumerate(zip(by_q, r_cols, w)):
+        for z, (t_z, r_zy, w_yz) in enumerate(zip(by_t, r_y, w_y)):
+            lhs = q_y(p_cols[r_zy])
+            rhs = t_z(s_cols[w_yz])
+            if lhs != rhs:
+                witness = (_first_difference(lhs, rhs) + 1, y + 1, z + 1)
+                first = min(first or witness, witness)
+    return AxiomCheck(name, first is None, first)
+
+
+def _check_exchange(u: Rows, o: Rows) -> list[AxiomCheck]:
+    return [
+        # (x<|y)<|(z<|y) == (x<|z)<|(y|>z)
+        _check_law("exchange_1", u, u, u, u, u, o),
+        # (x<|y)|>(z<|y) == (x|>z)<|(y|>z)
+        _check_law("exchange_2", o, u, u, u, o, o),
+        # (x|>y)|>(z|>y) == (x|>z)|>(y<|z)
+        _check_law("exchange_3", o, o, o, o, o, u),
+    ]
 
 
 def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
@@ -200,10 +201,10 @@ def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
     Failures are report content, never exceptions, so corrupted tables can
     be inspected. Witnesses are the first counterexample in row-major order.
     """
-    u = bq.under.zero_based()
-    o = bq.over.zero_based()
-    ui = bq.under_inv.zero_based()
-    oi = bq.over_inv.zero_based()
+    u = _zero_based_rows(bq.under)
+    o = _zero_based_rows(bq.over)
+    ui = _zero_based_rows(bq.under_inv)
+    oi = _zero_based_rows(bq.over_inv)
     checks = [
         _check_fixed_point(u, o),
         _check_right_invertible(u, o, ui, oi),

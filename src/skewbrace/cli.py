@@ -6,6 +6,8 @@ witness printed, 2 usage or IO error.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables` is imported at the top, since every command reads a brace.
+Only the commands that color a link import numpy, through `coloring`,
+and `color` also for its formatter.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .tables import SkewBrace, is_involutive, is_star_commutative, parse_brace_file
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .gauss import LinkDiagram
 
 __all__ = ["main"]
@@ -116,10 +118,10 @@ def _cmd_biquandle(args) -> int:
     brace = _load_brace(args.brace)
     bq = derive_biquandle(brace)
     print(bq.n)
-    for row in bq.under.entries.tolist():
+    for row in bq.under.rows:
         print(" ".join(str(v) for v in row))
     print()
-    for row in bq.over.entries.tolist():
+    for row in bq.over.rows:
         print(" ".join(str(v) for v in row))
     return 0
 
@@ -140,6 +142,8 @@ def _coloring_lines(cols: np.ndarray, n: int) -> str:
     a newline; every row becomes its tokens, the last one offset by n,
     gathered from one byte table and cut to each token's true length.
     """
+    import numpy as np
+
     words = [f"{c} " for c in range(1, n + 1)] + [f"{c}\n" for c in range(1, n + 1)]
     width = max(map(len, words))
     table = np.array([list(w.ljust(width).encode()) for w in words], dtype=np.uint8)

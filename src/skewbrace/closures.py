@@ -10,7 +10,8 @@ its operation tables and cached: `pair[x][y]` holds the bits that members
 x and y force into the subset, and the mask takes in `pair[x][y]` for all
 of its members x, y until it stops changing; each round looks only at the
 pairs that hold a member added by the round before. Termination follows
-from finiteness.
+from finiteness. A group closure needs less: it is every product of the
+generators, so each round multiplies only its new members by them.
 
 The ideals are enumerated over the same masks, by joining ideal closures
 of singletons; `is_ideal` checks the conditions directly and is the
@@ -92,7 +93,7 @@ def _fixpoint(pair: Pairs, m: int) -> int:
 @lru_cache(maxsize=64)
 def _bits(table: OperationTable) -> Pairs:
     """Table of 1 << (x op y), 0-based."""
-    return [[1 << (v - 1) for v in row] for row in table.entries.tolist()]
+    return [[1 << (v - 1) for v in row] for row in table.rows]
 
 
 @lru_cache(maxsize=64)
@@ -106,8 +107,8 @@ def _biquandle_pairs(under: OperationTable, over: OperationTable) -> Pairs:
 @lru_cache(maxsize=64)
 def _ideal_pairs(brace: SkewBrace) -> Pairs:
     n = brace.n
-    circ = brace.circ.table.entries.tolist()
-    star = brace.star.table.entries.tolist()
+    circ = brace.circ.table.rows
+    star = brace.star.table.rows
     ci = [brace.circ.inv(z + 1) - 1 for z in range(n)]
     si = [brace.star.inv(z + 1) - 1 for z in range(n)]
 
@@ -130,7 +131,21 @@ def _ideal_pairs(brace: SkewBrace) -> Pairs:
 
 
 def _group_mask(group: FiniteGroup, m: int) -> int:
-    return _fixpoint(_bits(group.table), m)
+    # a finite group's closure of m is every product of members of m, so
+    # each round multiplies only the members new in the round before by
+    # the generators
+    row = _bits(group.table)
+    gens = _members(m)
+    new = m
+    while new:
+        out = 0
+        for x in _members(new):
+            bits = row[x]
+            for g in gens:
+                out |= bits[g]
+        new = out & ~m
+        m |= new
+    return m
 
 
 def _biquandle_mask(bq: Biquandle, m: int) -> int:

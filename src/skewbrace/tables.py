@@ -3,13 +3,23 @@
 Elements are labeled 1..n throughout, matching the structure-table files.
 Validation is exhaustive and reports the first counterexample in row-major
 scan order, so error fixtures are deterministic.
+
+Tables are tuples of row tuples and every check is plain Python, one row
+at a time: at the sizes of a brace census an n^3 scan is a few thousand
+triples, cheaper than importing numpy. Only `OperationTable.entries` and
+`zero_based`, which the coloring kernel reads, import it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OperationTable",
@@ -30,10 +40,6 @@ __all__ = [
     "format_brace_file",
     "load_brace_file",
 ]
-
-# block size for chunking n^3 checks so temporaries stay near 2^24 entries
-_CHUNK_CELLS = 1 << 24
-
 
 class ValidationError(ValueError):
     """Base class for structure-table validation failures."""
@@ -80,49 +86,75 @@ class IdentityMismatch(ValidationError):
         )
 
 
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _shape(entries) -> tuple[int, ...]:
+    """The shape numpy would give `entries`, read along first items."""
+    out = []
+    while hasattr(entries, "__len__") and not isinstance(entries, str):
+        out.append(len(entries))
+        if not out[-1]:
+            break
+        entries = entries[0]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class OperationTable:
-    """An n x n table over carrier {1..n}; entries[x-1][y-1] = x op y.
+    """An n x n table over carrier {1..n}; rows[x-1][y-1] = x op y.
 
-    The entries are a read-only copy of the input, so neither they nor the
-    hash, computed once because tables key many caches, can change later.
+    The table is built from a nested list or an ndarray and kept as a
+    tuple of row tuples, so neither the rows nor the hash, computed once
+    because tables key many caches, can change later. `entries`, the same
+    table as a read-only int64 ndarray for kernel code, imports numpy and
+    is built on first use.
     """
 
     n: int
-    entries: np.ndarray
+    rows: Rows
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.int64)
-        if arr.shape != (self.n, self.n):
-            raise TableMalformed(f"expected a {self.n}x{self.n} table, got shape {arr.shape}")
-        if self.n < 1:
+        n, entries = self.n, self.rows
+        if hasattr(entries, "tolist"):
+            entries = entries.tolist()
+        try:
+            rows = tuple(tuple(int(v) for v in row) for row in entries)
+        except TypeError:
+            rows = None
+        shape = _shape(entries)
+        if shape != (n, n) or rows is None or any(len(row) != n for row in rows):
+            raise TableMalformed(f"expected a {n}x{n} table, got shape {shape}")
+        if n < 1:
             raise TableMalformed("carrier size must be at least 1")
-        if arr.min() < 1 or arr.max() > self.n:
-            bad = np.argwhere((arr < 1) | (arr > self.n))[0]
-            raise TableMalformed(
-                f"entry {arr[bad[0], bad[1]]} at row {bad[0] + 1}, column {bad[1] + 1} "
-                f"is outside 1..{self.n}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_hash", hash((self.n, arr.tobytes())))
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if not 1 <= v <= n:
+                    raise TableMalformed(
+                        f"entry {v} at row {i + 1}, column {j + 1} is outside 1..{n}"
+                    )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((n, rows)))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> OperationTable:
-        return cls(len(rows), np.array(rows, dtype=np.int64))
+        return cls(len(rows), rows)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        import numpy as np
+
+        arr = np.array(self.rows, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
 
     def value(self, x: int, y: int) -> int:
-        return int(self.entries[x - 1, y - 1])
+        return self.rows[x - 1][y - 1]
 
     def zero_based(self) -> np.ndarray:
         """0-based copy for kernel code."""
-        return np.ascontiguousarray(self.entries - 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperationTable):
-            return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.entries, other.entries))
+        return self.entries - 1
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,17 +192,30 @@ class SkewBrace:
         return self.circ.identity
 
 
-def _check_associative(t: np.ndarray, table_name: str) -> None:
-    n = t.shape[0]
-    block = max(1, _CHUNK_CELLS // (n * n))
-    for lo in range(0, n, block):
-        xs = slice(lo, min(lo + block, n))
-        # left[x,y,z] = (x op y) op z ; right[x,y,z] = x op (y op z)
-        left = t[t[xs, :], :]
-        right = t[xs][:, t]
-        if not np.array_equal(left, right):
-            x, y, z = np.argwhere(left != right)[0]
-            raise NotAssociative(int(x) + lo + 1, int(y) + 1, int(z) + 1, table_name)
+def _zero_based_rows(table: OperationTable) -> list[tuple[int, ...]]:
+    return [tuple([v - 1 for v in row]) for row in table.rows]
+
+
+def _gather(index: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map from a row r to (r[i] for i in index), as a tuple."""
+    get = itemgetter(*index)
+    return get if len(index) > 1 else lambda row: (get(row),)
+
+
+def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
+    return next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+
+
+def _check_associative(t: list[tuple[int, ...]], table_name: str) -> None:
+    # (x op y) op z against x op (y op z), one row over z per (x, y)
+    by_row = [_gather(ty) for ty in t]
+    for x, tx in enumerate(t):
+        for y, xy in enumerate(tx):
+            left = t[xy]
+            right = by_row[y](tx)
+            if left != right:
+                z = _first_difference(left, right)
+                raise NotAssociative(x + 1, y + 1, z + 1, table_name)
 
 
 def validate_group(table: OperationTable, table_name: str = "") -> FiniteGroup:
@@ -179,22 +224,20 @@ def validate_group(table: OperationTable, table_name: str = "") -> FiniteGroup:
     Raises NotAssociative, NoIdentity, or NoInverse naming the first witness.
     """
     n = table.n
-    t = table.zero_based()
+    t = _zero_based_rows(table)
     _check_associative(t, table_name)
-    ident = None
-    idx = np.arange(n)
-    for c in range(n):
-        if np.array_equal(t[c], idx) and np.array_equal(t[:, c], idx):
-            ident = c
-            break
+    idx = tuple(range(n))
+    ident = next(
+        (c for c in idx if t[c] == idx and tuple([row[c] for row in t]) == idx), None
+    )
     if ident is None:
         raise NoIdentity(table_name)
-    inverse = [0] * n
-    for x in range(n):
-        ys = np.flatnonzero((t[x] == ident) & (t[:, x] == ident))
-        if ys.size == 0:
+    inverse = []
+    for x in idx:
+        y = next((y for y in idx if t[x][y] == ident and t[y][x] == ident), None)
+        if y is None:
             raise NoInverse(x + 1, table_name)
-        inverse[x] = int(ys[0]) + 1
+        inverse.append(y + 1)
     return FiniteGroup(table=table, identity=ident + 1, inverse=tuple(inverse))
 
 
@@ -211,46 +254,45 @@ def validate_skew_brace(circ: OperationTable, star: OperationTable) -> SkewBrace
     if g_circ.identity != g_star.identity:
         raise IdentityMismatch(g_circ.identity, g_star.identity)
 
-    n = circ.n
-    c = circ.zero_based()
-    s = star.zero_based()
-    sinv = np.array([g_star.inv(x + 1) - 1 for x in range(n)], dtype=np.int64)
-    block = max(1, _CHUNK_CELLS // (n * n))
-    for lo in range(0, n, block):
-        xs = np.arange(lo, min(lo + block, n))
-        lhs = c[xs][:, s]                               # x @ (y*z)
-        xy = c[xs, :]                                   # (x @ y)
-        a = s[xy, sinv[xs][:, None]]                    # (x@y) * x^-*
-        rhs = s[a[:, :, None], c[xs][:, None, :]]       # ... * (x@z)
-        if not np.array_equal(lhs, rhs):
-            x, y, z = np.argwhere(lhs != rhs)[0]
-            raise DistributiveLawFails(int(x) + lo + 1, int(y) + 1, int(z) + 1)
-    return SkewBrace(n=n, circ=g_circ, star=g_star)
+    c = _zero_based_rows(circ)
+    s = _zero_based_rows(star)
+    sinv = _inverse_map(g_star)
+    by_star_row = [_gather(sy) for sy in s]
+    for x, cx in enumerate(c):
+        by_cx = _gather(cx)
+        for y, xy in enumerate(cx):
+            lhs = by_star_row[y](cx)                    # x @ (y*z)
+            a = s[s[xy][sinv[x]]]                       # row of (x@y) * x^-*
+            rhs = by_cx(a)                              # ... * (x@z)
+            if lhs != rhs:
+                z = _first_difference(lhs, rhs)
+                raise DistributiveLawFails(x + 1, y + 1, z + 1)
+    return SkewBrace(n=circ.n, circ=g_circ, star=g_star)
 
 
 def is_star_commutative(brace: SkewBrace) -> bool:
-    t = brace.star.table.entries
-    return bool(np.array_equal(t, t.T))
+    rows = brace.star.table.rows
+    return tuple(zip(*rows)) == rows
 
 
-def _inverse_map(group: FiniteGroup) -> np.ndarray:
-    return np.array([group.inv(x + 1) - 1 for x in range(group.n)], dtype=np.int64)
+def _inverse_map(group: FiniteGroup) -> list[int]:
+    """0-based inverses."""
+    return [v - 1 for v in group.inverse]
 
 
 def is_involutive(brace: SkewBrace) -> bool:
     """True iff r composed with itself is the identity on all pairs."""
-    n = brace.n
-    c0 = brace.circ.table.zero_based()
-    s0 = brace.star.table.zero_based()
+    c0 = _zero_based_rows(brace.circ.table)
+    s0 = _zero_based_rows(brace.star.table)
     cinv0 = _inverse_map(brace.circ)
     sinv0 = _inverse_map(brace.star)
-    xs = np.arange(n)
-    # a[x,y] = x^star star (x circ y); b[x,y] = a^circ circ x circ y
-    a = s0[sinv0[:, None], c0]
-    b = c0[c0[cinv0[a], xs[:, None]], xs[None, :]]
-    aa = a[a, b]
-    bb = b[a, b]
-    return bool(np.array_equal(aa, xs[:, None].repeat(n, 1)) and np.array_equal(bb, xs[None, :].repeat(n, 0)))
+    xs = range(brace.n)
+    # a[x][y] = x^star star (x circ y); b[x][y] = a^circ circ x circ y
+    a = [[s0[sinv0[x]][v] for v in c0[x]] for x in xs]
+    b = [[c0[c0[cinv0[a[x][y]]][x]][y] for y in xs] for x in xs]
+    return all(
+        a[a[x][y]][b[x][y]] == x and b[a[x][y]][b[x][y]] == y for x in xs for y in xs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +351,7 @@ def format_brace_file(brace: SkewBrace) -> str:
     """Canonical file form: n, circ rows, blank line, star rows."""
     out = [str(brace.n)]
     for table in (brace.circ.table, brace.star.table):
-        out.extend(" ".join(str(v) for v in row) for row in table.entries.tolist())
+        out.extend(" ".join(str(v) for v in row) for row in table.rows)
         out.append("")
     return "\n".join(out[:-1]) + "\n"
 

@@ -13,7 +13,7 @@ from skewbrace import (
     ideal_closure,
     is_ideal,
 )
-from skewbrace.closures import _fixpoint
+from skewbrace.closures import _bits, _fixpoint
 from skewbrace.coloring import derived_biquandle
 
 from conftest import trivial_cyclic_brace
@@ -159,3 +159,15 @@ def test_fixpoint_matches_repeated_all_pairs_rounds(n):
         ]
         for m in range(1, 1 << n):
             assert _fixpoint(pair, m) == reference(pair, m)
+
+
+def test_group_closure_matches_fixpoint(braces):
+    """Products with the generators alone close a subset of a finite group
+    to the same subgroup as the all-pairs fixpoint of its table."""
+    for brace in braces.values():
+        for group in (brace.circ, brace.star):
+            pair = _bits(group.table)
+            for m in range(1, 1 << brace.n):
+                want = _fixpoint(pair, m)
+                got = group_closure(group, {x + 1 for x in range(brace.n) if m >> x & 1})
+                assert got == {x + 1 for x in range(brace.n) if want >> x & 1}

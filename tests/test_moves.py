@@ -92,3 +92,10 @@ def test_moves_preserve_counting_invariant(braces, links):
     for _ in range(5):
         d = random_move(d, rng)
         assert counting_invariant(brace, d) == base
+
+
+def test_random_diagram_walk_is_exported():
+    import skewbrace
+    from skewbrace import moves
+
+    assert skewbrace.random_diagram_walk is moves.random_diagram_walk

@@ -107,3 +107,33 @@ def test_unknown_name_is_an_attribute_error():
         "    print(repr(str(exc)))"
     )
     assert raised == "module 'skewbrace' has no attribute 'nope'"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["validate", NAB6], False),
+        (["biquandle", NAB6], False),
+        (["ideals", NAB6], False),
+        (["color", NAB6, "O1+ / U1+"], True),
+        (["invariant", NAB6, "O1+ / U1+"], True),
+        (["invariant", NAB6, "O1+ / U1+", "--type", "sb"], True),
+        (["check-moves", NAB6, "O1+ / U1+", "--trials", "2"], True),
+        (["batch", NAB6, LINKS], True),
+    ],
+    ids=["validate", "biquandle", "ideals", "color", "count", "sb", "check-moves", "batch"],
+)
+def test_only_coloring_commands_load_numpy(argv, loads_numpy):
+    code, loaded = python(
+        "import sys\n"
+        "from skewbrace.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print((code, 'numpy' in sys.modules))",
+        *argv,
+    )
+    assert (code, loaded) == (0, loads_numpy)
+
+
+@pytest.mark.parametrize("module", ["tables", "biquandle", "closures", "gauss", "moves"])
+def test_algebra_modules_load_no_numpy(module):
+    assert python(f"import sys, skewbrace.{module}\nprint('numpy' in sys.modules)") is False

@@ -188,3 +188,25 @@ def test_operation_table_access():
     z = t.zero_based()
     assert z[1, 2] == 3
     assert t.entries.flags.writeable is False
+
+
+@pytest.mark.parametrize(
+    "n, entries, shape",
+    [
+        (2, [[1, 2, 1], [2, 1, 2]], "(2, 3)"),
+        (2, [1, 2], "(2,)"),
+        (2, np.ones((2, 2, 1), dtype=np.int64), "(2, 2, 1)"),
+        (3, np.ones((2, 2), dtype=np.int64), "(2, 2)"),
+        (0, [], "(0,)"),
+    ],
+)
+def test_wrong_shape_names_the_shape(n, entries, shape):
+    with pytest.raises(TableMalformed) as exc:
+        OperationTable(n, entries)
+    assert str(exc.value) == f"expected a {n}x{n} table, got shape {shape}"
+
+
+def test_out_of_range_entry_names_the_first_in_row_major_order():
+    with pytest.raises(TableMalformed) as exc:
+        OperationTable(3, np.array([[1, 2, 3], [2, 4, 0], [3, 1, 5]]))
+    assert str(exc.value) == "entry 4 at row 2, column 2 is outside 1..3"
