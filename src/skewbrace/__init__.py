@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _EXPORTS = {
+    "DomainError": "tables",
     "OperationTable": "tables",
     "FiniteGroup": "tables",
     "SkewBrace": "tables",

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 # is_involutive, a property of the brace, lives in tables and stays
 # importable from here
 from .tables import (  # noqa: F401
+    DomainError,
     OperationTable,
     SkewBrace,
     _first_difference,
@@ -53,7 +54,7 @@ AXIOM_NAMES = (
 )
 
 
-class AxiomViolation(ValueError):
+class AxiomViolation(DomainError):
     def __init__(self, axiom: str, witness: tuple[int, ...]) -> None:
         self.axiom = axiom
         self.witness = witness

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (invalid brace, bad Gauss code,
-failed move check, a coloring search past its frontier budget) with the
-witness printed, 2 usage or IO error.
+Exit codes: 0 success, 1 domain error (a failed move check, or a
+`DomainError`: invalid brace, bad Gauss code, a coloring search past its
+frontier budget) with the witness printed, 2 usage or IO error.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables` is imported at the top, since every command reads a brace.
@@ -16,7 +16,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .tables import SkewBrace, is_involutive, is_star_commutative, parse_brace_file
+from .tables import DomainError, SkewBrace, is_involutive, is_star_commutative, parse_brace_file
 
 if TYPE_CHECKING:
     from .gauss import LinkDiagram
@@ -29,26 +29,6 @@ _JOBS_HELP = "accepted for compatibility; has no effect"
 
 class _UsageError(Exception):
     pass
-
-
-# each domain error (exit 1) by the submodule that defines it
-_DOMAIN_ERRORS = {
-    "tables": "ValidationError",
-    "biquandle": "AxiomViolation",
-    "gauss": "GaussCodeError",
-    "moves": "InvalidLocation",
-    "coloring": "SearchTooLarge",
-}
-
-
-def _is_domain_error(exc: Exception) -> bool:
-    # an error cannot come from a module that was never imported, so only
-    # loaded modules are looked at, and this check imports none
-    for module, name in _DOMAIN_ERRORS.items():
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return True
-    return False
 
 
 def _read_text(path: str) -> str:
@@ -265,9 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        if not _is_domain_error(exc):
-            raise
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

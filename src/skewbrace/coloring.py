@@ -43,8 +43,7 @@ in turn, depth first, which keeps the order. Enumeration raises
 The polynomials read the colorings' columns unsorted; `enumerate_colorings`
 sorts them into lexicographic order.
 
-Everything here is plain Python over `bytearray` and `array`; only
-`brute_force_colorings`, the independent oracle, imports numpy.
+Everything here is plain Python over `bytearray`, `array` and tuples.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from operator import eq, getitem
 
 from .biquandle import Biquandle, derive_biquandle
 from .gauss import LinkDiagram, SemiarcSystem, build_constraints
-from .tables import SkewBrace
+from .tables import DomainError, SkewBrace
 
 __all__ = [
     "Coloring",
@@ -77,7 +76,7 @@ _BRUTE_LIMIT = 10**7
 _FRONTIER_CELLS = 1 << 22
 
 
-class SearchTooLarge(ValueError):
+class SearchTooLarge(DomainError):
     """A coloring search needs more than the frontier budget allows."""
 
 # crossing relations per sign, as (dst, table, src_a, src_b) over the slot
@@ -402,40 +401,38 @@ def enumerate_colorings(
 def brute_force_colorings(
     brace: SkewBrace, d: LinkDiagram, limit: int = _BRUTE_LIMIT
 ) -> list[Coloring]:
-    """Filter all n**s assignments by the raw crossing relations.
+    """All n**s assignments that satisfy the raw crossing relations, as
+    1-based semiarc tuples in lexicographic order.
 
-    Independent of the plan compiler; useful as an oracle. Refuses search
-    spaces above `limit`.
+    Independent of the plan compiler; useful as an oracle. Prefixes grow
+    one semiarc at a time, in index order, trying every color on each, and
+    a crossing's two relations are checked once its highest semiarc is
+    set. Refuses search spaces above `limit`.
     """
-    import numpy as np
-
-    bq = derived_biquandle(brace)
-    u = bq.under.zero_based()
-    o = bq.over.zero_based()
-    u_inv = bq.under_inv.zero_based()
-    o_inv = bq.over_inv.zero_based()
     system = build_constraints(d)
-    s = system.semiarc_count
-    n = brace.n
+    s, n = system.semiarc_count, brace.n
     total = n**s
     if total > limit:
         raise ValueError(f"brute force space {total} exceeds limit {limit}")
 
-    found = []
-    chunk = 1 << 16
-    div = np.array([n ** (s - 1 - i) for i in range(s)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        seeds = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vals = (seeds[:, None] // div[None, :]) % n
-        ok = np.ones(seeds.shape[0], dtype=bool)
-        for c in system.constraints:
-            ui_, oi_ = vals[:, c.under_in], vals[:, c.over_in]
-            uo_, oo_ = vals[:, c.under_out], vals[:, c.over_out]
-            if c.sign > 0:
-                ok &= u[ui_, oo_] == uo_
-                ok &= o_inv[oi_, ui_] == oo_
-            else:
-                ok &= u_inv[ui_, oi_] == uo_
-                ok &= o[oi_, uo_] == oo_
-        found.extend(tuple(int(v) + 1 for v in row) for row in vals[ok])
+    u, o, u_inv, o_inv = _base_tables(derived_biquandle(brace))
+    # (table, a, b, dst): a coloring p needs table[p[a]][p[b]] == p[dst]
+    checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(s)]
+    for c in system.constraints:
+        ui, oi, uo, oo = c.under_in, c.over_in, c.under_out, c.over_out
+        if c.sign > 0:
+            rels = ((u, ui, oo, uo), (o_inv, oi, ui, oo))
+        else:
+            rels = ((u_inv, ui, oi, uo), (o, oi, uo, oo))
+        checks[max(ui, oi, uo, oo)].extend(rels)
+
+    colors = range(1, n + 1)
+    found: list[Coloring] = [()]
+    for level in checks:
+        grown = (q + (x,) for q in found for x in colors)
+        if level:
+            grown = (
+                p for p in grown if all(t[p[a]][p[b]] == p[dst] for t, a, b, dst in level)
+            )
+        found = list(grown)
     return found

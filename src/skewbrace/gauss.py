@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .tables import DomainError
+
 __all__ = [
     "Passage",
     "LinkDiagram",
@@ -32,7 +34,7 @@ __all__ = [
 _TOKEN = re.compile(r"([OU])([0-9]+)([+-])\Z")
 
 
-class GaussCodeError(ValueError):
+class GaussCodeError(DomainError):
     """Base class for Gauss-code parse and validation failures."""
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .gauss import LinkDiagram, Passage
+from .tables import DomainError
 
 __all__ = [
     "InvalidLocation",
@@ -23,7 +24,7 @@ __all__ = [
 ]
 
 
-class InvalidLocation(ValueError):
+class InvalidLocation(DomainError):
     pass
 
 

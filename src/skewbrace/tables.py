@@ -6,23 +6,17 @@ scan order, so error fixtures are deterministic.
 
 Tables are tuples of row tuples and every check is plain Python, one row
 at a time: at the sizes of a brace census an n^3 scan is a few thousand
-triples, cheaper than importing numpy. Only `OperationTable.entries` and
-`zero_based`, the ndarray forms the brute-force coloring oracle reads,
-import it.
+triples, cheaper than importing numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
+    "DomainError",
     "OperationTable",
     "FiniteGroup",
     "SkewBrace",
@@ -42,7 +36,14 @@ __all__ = [
     "load_brace_file",
 ]
 
-class ValidationError(ValueError):
+
+class DomainError(ValueError):
+    """Base class of the errors the CLI reports with exit 1: invalid
+    tables, biquandles or Gauss codes, impossible moves, and searches past
+    their budget. It lives here because every command loads this module."""
+
+
+class ValidationError(DomainError):
     """Base class for structure-table validation failures."""
 
 
@@ -91,7 +92,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 
 def _shape(entries) -> tuple[int, ...]:
-    """The shape numpy would give `entries`, read along first items."""
+    """The shape of nested sequences `entries`, read along first items."""
     out = []
     while hasattr(entries, "__len__") and not isinstance(entries, str):
         out.append(len(entries))
@@ -105,11 +106,9 @@ def _shape(entries) -> tuple[int, ...]:
 class OperationTable:
     """An n x n table over carrier {1..n}; rows[x-1][y-1] = x op y.
 
-    The table is built from a nested list or an ndarray and kept as a
-    tuple of row tuples, so neither the rows nor the hash, computed once
-    because tables key many caches, can change later. `entries`, the same
-    table as a read-only int64 ndarray for array code, imports numpy and
-    is built on first use.
+    The table is built from any n x n nested sequence of ints and kept as
+    a tuple of row tuples, so neither the rows nor the hash, computed once
+    because tables key many caches, can change later.
     """
 
     n: int
@@ -118,8 +117,6 @@ class OperationTable:
 
     def __post_init__(self) -> None:
         n, entries = self.n, self.rows
-        if hasattr(entries, "tolist"):
-            entries = entries.tolist()
         try:
             rows = tuple(tuple(int(v) for v in row) for row in entries)
         except TypeError:
@@ -142,20 +139,8 @@ class OperationTable:
     def from_rows(cls, rows: list[list[int]]) -> OperationTable:
         return cls(len(rows), rows)
 
-    @cached_property
-    def entries(self) -> np.ndarray:
-        import numpy as np
-
-        arr = np.array(self.rows, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
     def value(self, x: int, y: int) -> int:
         return self.rows[x - 1][y - 1]
-
-    def zero_based(self) -> np.ndarray:
-        """0-based copy of `entries`."""
-        return self.entries - 1
 
     def __hash__(self) -> int:
         return self._hash

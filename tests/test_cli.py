@@ -232,6 +232,19 @@ def test_errors_in_a_fresh_process(argv, code, err, tmp_path):
     assert out.stderr == err.replace("NOTUTF8", str(paths["NOTUTF8"]))
 
 
+def test_a_plain_value_error_is_not_a_domain_error(monkeypatch):
+    """Only DomainError subclasses become exit 1; any other ValueError
+    raised inside a command is a bug and propagates out of main."""
+    import skewbrace.cli as cli
+
+    def broken(args):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "_cmd_validate", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        main(["validate", NAB6])
+
+
 def test_count_past_64_bits(capsys):
     code, out, err = run(capsys, "invariant", INV8, UNLINK21, "--type", "count")
     assert code == 0
@@ -333,8 +346,9 @@ def test_entry_point_installed():
 def test_entry_point_declared():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts == {"skewbrace": "skewbrace.cli:main"}
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"] == {"skewbrace": "skewbrace.cli:main"}
+    assert project["dependencies"] == []
 
     out = run_process("validate", NAB6)
     assert out.returncode == 0

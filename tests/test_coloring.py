@@ -128,9 +128,7 @@ def test_brute_force_agrees(braces, links):
         for d in links.values():
             space = brace.n ** build_constraints(d).semiarc_count
             if space <= 10**6:
-                assert sorted(brute_force_colorings(brace, d)) == enumerate_colorings(
-                    brace, d
-                )
+                assert brute_force_colorings(brace, d) == enumerate_colorings(brace, d)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +140,7 @@ def z257():
 def test_carrier_past_a_byte_matches_brute_force(z257, code):
     # 257 colors do not fit a byte: the columns hold 16-bit colors
     d = parse_gauss_code(code)
-    expected = sorted(brute_force_colorings(z257, d))
+    expected = brute_force_colorings(z257, d)
     assert len(expected) == 257**2
     assert enumerate_colorings(z257, d) == expected
     assert counting_invariant(z257, d) == len(expected)

@@ -88,9 +88,9 @@ def test_any_single_entry_corruption_breaks_an_axiom(name, table, data):
     y = data.draw(st.integers(1, n))
     delta = data.draw(st.integers(1, n - 1))
     tables = [bq.under, bq.over, bq.under_inv, bq.over_inv]
-    entries = tables[table].entries.copy()
-    entries[x - 1, y - 1] = (entries[x - 1, y - 1] - 1 + delta) % n + 1
-    tables[table] = OperationTable(n, entries)
+    rows = [list(row) for row in tables[table].rows]
+    rows[x - 1][y - 1] = (rows[x - 1][y - 1] - 1 + delta) % n + 1
+    tables[table] = OperationTable(n, rows)
     corrupted = Biquandle(
         n=n,
         under=tables[0],

@@ -145,3 +145,18 @@ def test_only_coloring_commands_load_numpy(argv):
 )
 def test_algebra_modules_load_no_numpy(module):
     assert python(f"import sys, skewbrace.{module}\nprint('numpy' in sys.modules)") is False
+
+
+def test_oracle_and_tables_load_no_numpy():
+    """The package has no runtime dependency: the brute-force oracle and
+    every use of a table run on the standard library alone."""
+    found, loaded = python(
+        "import sys\n"
+        "import skewbrace as sk\n"
+        "d = sk.bundled_links()['vhopf']\n"
+        "found = sk.brute_force_colorings(sk.load_bundled_brace('nab6'), d)\n"
+        "t = sk.OperationTable.from_rows([[1, 2], [2, 1]])\n"
+        "assert hash(t) == hash(sk.OperationTable(2, t.rows)) and t.value(2, 2) == 1\n"
+        "print((len(found), 'numpy' in sys.modules))"
+    )
+    assert (found, loaded) == (24, False)

@@ -59,7 +59,7 @@ def test_table_owns_its_entries():
     table = OperationTable(4, rows)
     before = hash(table)
     view[0, 0] = 2
-    assert table.entries.tolist() == CYCLIC4
+    assert table.rows == tuple(map(tuple, CYCLIC4))
     assert hash(table) == before == hash(OperationTable.from_rows(CYCLIC4))
 
 
@@ -144,16 +144,16 @@ def test_swapped_klein_z4_tables_validate_as_the_other_brace(braces):
     kz = braces["klein_z4"]
     swapped = validate_skew_brace(kz.star.table, kz.circ.table)
     zk = braces["z4_klein"]
-    assert np.array_equal(swapped.circ.table.entries, zk.circ.table.entries)
-    assert np.array_equal(swapped.star.table.entries, zk.star.table.entries)
+    assert swapped.circ.table.rows == zk.circ.table.rows
+    assert swapped.star.table.rows == zk.star.table.rows
 
 
 def test_format_parse_round_trip(braces):
     for brace in braces.values():
         text = format_brace_file(brace)
         again = parse_brace_file(text)
-        assert np.array_equal(again.circ.table.entries, brace.circ.table.entries)
-        assert np.array_equal(again.star.table.entries, brace.star.table.entries)
+        assert again.circ.table.rows == brace.circ.table.rows
+        assert again.star.table.rows == brace.star.table.rows
         assert format_brace_file(again) == text
 
 
@@ -185,9 +185,6 @@ def test_malformed_brace_files(text):
 def test_operation_table_access():
     t = OperationTable.from_rows(KLEIN)
     assert t.value(2, 3) == 4
-    z = t.zero_based()
-    assert z[1, 2] == 3
-    assert t.entries.flags.writeable is False
 
 
 @pytest.mark.parametrize(
