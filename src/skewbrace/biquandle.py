@@ -17,13 +17,12 @@ and their axioms checked in plain Python over 0-based row lists, as in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # is_involutive, a property of the brace, lives in tables and stays
 # importable from here
 from .tables import (  # noqa: F401
     DomainError,
     OperationTable,
+    Record,
     SkewBrace,
     _first_difference,
     _gather,
@@ -61,28 +60,19 @@ class AxiomViolation(DomainError):
         super().__init__(f"biquandle axiom {axiom} fails at {witness}")
 
 
-@dataclass(frozen=True)
-class Biquandle:
+class Biquandle(Record):
     """Four operation tables; brace is kept when the tables were derived."""
 
-    n: int
-    under: OperationTable
-    over: OperationTable
-    under_inv: OperationTable
-    over_inv: OperationTable
-    brace: SkewBrace | None = None
+    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "brace")
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    witness: tuple[int, ...] | None
+class AxiomCheck(Record):
+    __slots__ = ("name", "passed", "witness")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+class AxiomReport(Record):
+    __slots__ = ("checks",)
 
     @property
     def passed(self) -> bool:

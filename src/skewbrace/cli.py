@@ -25,6 +25,8 @@ __all__ = ["main"]
 
 
 _JOBS_HELP = "accepted for compatibility; has no effect"
+# colorings formatted per write by `color`
+_COLOR_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -121,10 +123,12 @@ def _cmd_color(args) -> int:
     colorings = enumerate_colorings(brace, diagram)
     s = build_constraints(diagram).semiarc_count
     line = " ".join(["%d"] * s) + "\n"
-    sys.stdout.write(
-        "# semiarc " + " ".join(str(i) for i in range(s)) + "\n"
-        + "".join(map(line.__mod__, colorings))
-    )
+    write = sys.stdout.write
+    write("# semiarc " + " ".join(str(i) for i in range(s)) + "\n")
+    # a chunk of lines at a time: one string of the whole output would be
+    # as large as the colorings themselves
+    for i in range(0, len(colorings), _COLOR_CHUNK):
+        write("".join(map(line.__mod__, colorings[i : i + _COLOR_CHUNK])))
     return 0
 
 

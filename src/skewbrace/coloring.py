@@ -50,14 +50,13 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
 from operator import eq, getitem
 
 from .biquandle import Biquandle, derive_biquandle
 from .gauss import LinkDiagram, SemiarcSystem, build_constraints
-from .tables import DomainError, SkewBrace
+from .tables import DomainError, Record, SkewBrace
 
 __all__ = [
     "Coloring",
@@ -179,8 +178,7 @@ def _pair_solution(
     )
 
 
-@dataclass(frozen=True)
-class CompiledPlan:
+class CompiledPlan(Record):
     """A diagram's search plan over one biquandle.
 
     `plan` has one tuple (kind, a, b, dst, t, mode) per step:
@@ -195,10 +193,7 @@ class CompiledPlan:
     then the pair-solution tables, each a `_lookup` table.
     """
 
-    plan: tuple[tuple[int, int, int, int, int, int], ...]
-    tbl: tuple[Table, ...]
-    n: int
-    semiarc_count: int
+    __slots__ = ("plan", "tbl", "n", "semiarc_count")
 
 
 @lru_cache(maxsize=512)

@@ -11,9 +11,8 @@ virtual link.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .tables import DomainError
+from .tables import DomainError, Record
 
 __all__ = [
     "Passage",
@@ -58,19 +57,17 @@ class SignMismatch(GaussCodeError):
         super().__init__(f"crossing {crossing_id} appears with two different signs")
 
 
-@dataclass(frozen=True)
-class Passage:
-    crossing: int
-    over: bool
-    sign: int  # +1 or -1
+class Passage(Record):
+    """One pass through a crossing: over or under it, with its sign, +1 or -1."""
+
+    __slots__ = ("crossing", "over", "sign")
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(Record):
     """Oriented multi-component diagram; a component with no passages is a
     zero-crossing unknotted component."""
 
-    components: tuple[tuple[Passage, ...], ...]
+    __slots__ = ("components",)
 
     @property
     def component_count(self) -> int:
@@ -86,22 +83,14 @@ class LinkDiagram:
         return tuple(sorted(ids))
 
 
-@dataclass(frozen=True)
-class CrossingConstraint:
+class CrossingConstraint(Record):
     """Semiarc indices incident to one classical crossing."""
 
-    crossing: int
-    sign: int
-    under_in: int
-    over_in: int
-    under_out: int
-    over_out: int
+    __slots__ = ("crossing", "sign", "under_in", "over_in", "under_out", "over_out")
 
 
-@dataclass(frozen=True)
-class SemiarcSystem:
-    semiarc_count: int
-    constraints: tuple[CrossingConstraint, ...]
+class SemiarcSystem(Record):
+    __slots__ = ("semiarc_count", "constraints")
 
 
 def looks_like_gauss_code(text: str) -> bool:

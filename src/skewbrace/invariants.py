@@ -9,7 +9,6 @@ count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import or_
 from typing import ClassVar
@@ -17,7 +16,7 @@ from typing import ClassVar
 from .closures import _biquandle_mask, _group_mask, _ideal_mask
 from .coloring import _coloring_columns, derived_biquandle
 from .gauss import LinkDiagram, format_gauss_code
-from .tables import SkewBrace
+from .tables import Record, SkewBrace
 
 __all__ = [
     "Polynomial2",
@@ -49,19 +48,18 @@ def _power(var: str, e: int) -> str:
     return f"{var}^{e}"
 
 
-@dataclass(frozen=True)
-class _Polynomial:
+class _Polynomial(Record):
     """Integer polynomial in `variables`; no zero coefficients stored.
 
     A term's key is its exponent tuple, or the bare exponent when there
     is one variable.
     """
 
+    __slots__ = ("terms",)
     variables: ClassVar[tuple[str, ...]] = ()
-    terms: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        clean = {k: v for k, v in self.terms.items() if v != 0}
+    def __init__(self, terms: dict | None = None) -> None:
+        clean = {k: v for k, v in (terms or {}).items() if v != 0}
         object.__setattr__(self, "terms", clean)
 
     def sorted_terms(self) -> list[tuple[int, ...]]:
@@ -98,12 +96,14 @@ class _Polynomial:
 class Polynomial2(_Polynomial):
     """Integer polynomial in u and v, keyed by (a, b) for u^a v^b."""
 
+    __slots__ = ()
     variables = ("u", "v")
 
 
 class Polynomial1(_Polynomial):
     """Integer polynomial in u alone, keyed by a for u^a."""
 
+    __slots__ = ()
     variables = ("u",)
 
 
@@ -174,10 +174,8 @@ def specialize(p: Polynomial2 | Polynomial1) -> int:
     return p.specialize()
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
-    uniform: bool
-    counterexamples: tuple[tuple[int, int], ...]
+class ExponentProfile(Record):
+    __slots__ = ("uniform", "counterexamples")
 
 
 def exponent_profile(p: Polynomial2) -> ExponentProfile:
@@ -186,14 +184,10 @@ def exponent_profile(p: Polynomial2) -> ExponentProfile:
     return ExponentProfile(uniform=not bad, counterexamples=bad)
 
 
-@dataclass(frozen=True)
-class MoveTrialResult:
-    trials: int
-    all_invariant: bool
-    base_sb: Polynomial2
-    base_ideal: Polynomial1
-    first_mismatch: int | None
-    mismatch_code: str | None
+class MoveTrialResult(Record):
+    __slots__ = (
+        "trials", "all_invariant", "base_sb", "base_ideal", "first_mismatch", "mismatch_code"
+    )
 
 
 def move_invariance_trials(

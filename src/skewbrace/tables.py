@@ -7,12 +7,16 @@ scan order, so error fixtures are deterministic.
 Tables are tuples of row tuples and every check is plain Python, one row
 at a time: at the sizes of a brace census an n^3 scan is a few thousand
 triples, cheaper than importing numpy.
+
+`Record`, the immutable value base of every structure in the package,
+lives here because every command loads this module: importing
+`dataclasses` (which loads `inspect`, `ast` and `dis`) and decorating a
+class with it cost a CLI job more than the work of a small diagram.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 __all__ = [
@@ -35,6 +39,57 @@ __all__ = [
     "format_brace_file",
     "load_brace_file",
 ]
+
+
+class Record:
+    """An immutable value whose fields are the names in `__slots__`.
+
+    Names starting with `_` are private caches, not fields. A subclass
+    gets what a frozen dataclass would: a constructor taking the fields
+    by position or name (trailing defaults in `_defaults`) unless it
+    writes its own, assignment and deletion raising `AttributeError`,
+    equality only with the exact same class and a hash to match, the repr
+    `Name(field=value, ...)`, and pickling and copying by the constructor.
+    """
+
+    __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
+        if not own:
+            return
+        cls._fields = fields = tuple(f for f in own if not f.startswith("_"))
+        # the per-instance methods are generated once per class, as
+        # dataclasses do: records key caches, and a loop over the fields or
+        # an `attrgetter` would slow every construction, lookup and hash
+        mine, theirs = (", ".join(f"{who}.{f}" for f in fields) for who in ("self", "other"))
+        ns = {"_set": object.__setattr__}
+        exec(
+            f"def __init__(self, {', '.join(fields)}):"
+            + "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+            + "\ndef __eq__(self, other):\n if other.__class__ is self.__class__:"
+            + f"\n  return ({mine},) == ({theirs},)\n return NotImplemented"
+            + f"\ndef __hash__(self):\n return hash(({mine},))",
+            ns,
+        )
+        ns["__init__"].__defaults__ = cls._defaults or None
+        for name in ("__init__", "__eq__", "__hash__"):
+            if cls.__dict__.get(name) is None:
+                setattr(cls, name, ns[name])
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
 
 
 class DomainError(ValueError):
@@ -88,9 +143,6 @@ class IdentityMismatch(ValidationError):
         )
 
 
-Rows = tuple[tuple[int, ...], ...]
-
-
 def _shape(entries) -> tuple[int, ...]:
     """The shape of nested sequences `entries`, read along first items."""
     out = []
@@ -102,8 +154,7 @@ def _shape(entries) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OperationTable:
+class OperationTable(Record):
     """An n x n table over carrier {1..n}; rows[x-1][y-1] = x op y.
 
     The table is built from any n x n nested sequence of ints and kept as
@@ -111,29 +162,27 @@ class OperationTable:
     because tables key many caches, can change later.
     """
 
-    n: int
-    rows: Rows
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "rows", "_hash")
 
-    def __post_init__(self) -> None:
-        n, entries = self.n, self.rows
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in entries)
+            kept = tuple(tuple(int(v) for v in row) for row in rows)
         except TypeError:
-            rows = None
-        shape = _shape(entries)
-        if shape != (n, n) or rows is None or any(len(row) != n for row in rows):
+            kept = None
+        shape = _shape(rows)
+        if shape != (n, n) or kept is None or any(len(row) != n for row in kept):
             raise TableMalformed(f"expected a {n}x{n} table, got shape {shape}")
         if n < 1:
             raise TableMalformed("carrier size must be at least 1")
-        for i, row in enumerate(rows):
+        for i, row in enumerate(kept):
             for j, v in enumerate(row):
                 if not 1 <= v <= n:
                     raise TableMalformed(
                         f"entry {v} at row {i + 1}, column {j + 1} is outside 1..{n}"
                     )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((n, rows)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", kept)
+        object.__setattr__(self, "_hash", hash((n, kept)))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> OperationTable:
@@ -146,13 +195,10 @@ class OperationTable:
         return self._hash
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A validated group: table plus computed identity and inverses."""
 
-    table: OperationTable
-    identity: int
-    inverse: tuple[int, ...]
+    __slots__ = ("table", "identity", "inverse")
 
     @property
     def n(self) -> int:
@@ -165,13 +211,10 @@ class FiniteGroup:
         return self.inverse[x - 1]
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(Record):
     """Two group structures on one carrier tied by the modified distributive law."""
 
-    n: int
-    circ: FiniteGroup
-    star: FiniteGroup
+    __slots__ = ("n", "circ", "star")
 
     @property
     def identity(self) -> int:

@@ -115,6 +115,20 @@ def test_color_prints_multi_digit_colors(capsys, tmp_path):
     assert run(capsys, "color", str(path), code) == (0, want, "")
 
 
+def test_color_output_spans_several_chunks(capsys):
+    """`color` writes its lines a chunk at a time, header first, with the
+    same bytes as formatting every coloring line by line."""
+    from skewbrace import cli, load_bundled_brace
+
+    code = "- / - / - / - / -"
+    d = parse_gauss_code(code)
+    rows = enumerate_colorings(load_bundled_brace("nab6"), d)
+    assert len(rows) == 6**5 > cli._COLOR_CHUNK
+    header = "# semiarc " + " ".join(map(str, range(build_constraints(d).semiarc_count)))
+    want = "".join(line + "\n" for line in [header, *(" ".join(map(str, row)) for row in rows)])
+    assert run(capsys, "color", NAB6, code) == (0, want, "")
+
+
 def test_invariant_count(capsys):
     code, out, _ = run(capsys, "invariant", NAB6, LINKS, "--name", "trefoil")
     assert code == 0

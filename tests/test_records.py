@@ -1,0 +1,194 @@
+"""Value semantics of the package's record classes.
+
+Each record is an immutable value: built by position or by its field
+names, equal only to an instance of the same class with equal fields,
+hashable to match, and kept whole by pickle and deepcopy.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from skewbrace import bundled_links, load_bundled_brace
+from skewbrace.biquandle import (
+    AxiomCheck,
+    AxiomReport,
+    Biquandle,
+    derive_biquandle,
+    verify_biquandle_axioms,
+)
+from skewbrace.coloring import CompiledPlan, _compile
+from skewbrace.gauss import (
+    CrossingConstraint,
+    LinkDiagram,
+    Passage,
+    SemiarcSystem,
+    build_constraints,
+)
+from skewbrace.invariants import (
+    ExponentProfile,
+    MoveTrialResult,
+    Polynomial1,
+    Polynomial2,
+    both_polynomials,
+    exponent_profile,
+    move_invariance_trials,
+)
+from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace
+
+# every record class with its constructor's field names, in order
+FIELDS = {
+    OperationTable: ("n", "rows"),
+    FiniteGroup: ("table", "identity", "inverse"),
+    SkewBrace: ("n", "circ", "star"),
+    Biquandle: ("n", "under", "over", "under_inv", "over_inv", "brace"),
+    AxiomCheck: ("name", "passed", "witness"),
+    AxiomReport: ("checks",),
+    Passage: ("crossing", "over", "sign"),
+    LinkDiagram: ("components",),
+    CrossingConstraint: ("crossing", "sign", "under_in", "over_in", "under_out", "over_out"),
+    SemiarcSystem: ("semiarc_count", "constraints"),
+    CompiledPlan: ("plan", "tbl", "n", "semiarc_count"),
+    Polynomial2: ("terms",),
+    Polynomial1: ("terms",),
+    ExponentProfile: ("uniform", "counterexamples"),
+    MoveTrialResult: (
+        "trials", "all_invariant", "base_sb", "base_ideal", "first_mismatch", "mismatch_code"
+    ),
+}
+
+
+def _instances() -> dict[type, object]:
+    brace = load_bundled_brace("nab6")
+    diagram = bundled_links()["trefoil"]
+    bq = derive_biquandle(brace)
+    report = verify_biquandle_axioms(bq)
+    system = build_constraints(diagram)
+    sb, ideal = both_polynomials(brace, diagram)
+    found = [
+        brace.circ.table,
+        brace.circ,
+        brace,
+        bq,
+        report.checks[0],
+        report,
+        diagram.components[0][0],
+        diagram,
+        system.constraints[0],
+        system,
+        _compile(bq, system),
+        sb,
+        ideal,
+        exponent_profile(sb),
+        move_invariance_trials(brace, diagram, trials=2, seed=0),
+    ]
+    return {type(x): x for x in found}
+
+
+INSTANCES = _instances()
+CLASSES = list(FIELDS)
+IDS = [cls.__name__ for cls in CLASSES]
+
+
+def test_every_record_class_has_an_instance():
+    assert set(INSTANCES) == set(FIELDS)
+
+
+def _rebuilt(x):
+    """x built again from its fields, by keyword."""
+    return type(x)(**{f: getattr(x, f) for f in FIELDS[type(x)]})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_keyword_and_positional_construction(cls):
+    x = INSTANCES[cls]
+    by_name = _rebuilt(x)
+    by_position = cls(*(getattr(x, f) for f in FIELDS[cls]))
+    assert by_name == x and by_position == x
+    assert by_name is not x
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    x = INSTANCES[cls]
+    name = FIELDS[cls][0]
+    before = getattr(x, name)
+    with pytest.raises(AttributeError):
+        setattr(x, name, before)
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    assert getattr(x, name) is before
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_equal_values_hash_equal(cls):
+    x = INSTANCES[cls]
+    assert hash(_rebuilt(x)) == hash(x)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_pickle_and_deepcopy_keep_the_value(cls):
+    x = INSTANCES[cls]
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert type(y) is cls
+        assert y == x and hash(y) == hash(x)
+
+
+def test_equality_is_type_strict():
+    assert Polynomial1({}) != Polynomial2({})
+    assert Polynomial1({2: 1}) != Polynomial2({2: 1})
+    assert Passage(1, True, 1) != (1, True, 1)
+    assert (1, True, 1) != Passage(1, True, 1)
+    assert Passage(1, True, 1) == Passage(crossing=1, over=True, sign=1)
+    assert Passage(1, True, 1) != Passage(1, True, -1)
+
+
+def test_defaults():
+    bq = INSTANCES[Biquandle]
+    bare = Biquandle(bq.n, bq.under, bq.over, bq.under_inv, bq.over_inv)
+    assert bare.brace is None
+    assert bare != bq
+    assert Polynomial2().terms == {} and Polynomial1().terms == {}
+    assert Polynomial2({(1, 1): 0}).terms == {}
+    assert Polynomial2({(1, 1): 0, (2, 2): 3}) == Polynomial2({(2, 2): 3})
+
+
+def test_missing_or_unknown_fields_are_type_errors():
+    with pytest.raises(TypeError):
+        Passage(1, True)
+    with pytest.raises(TypeError):
+        Passage(1, True, 1, 0)
+    with pytest.raises(TypeError):
+        Passage(crossing=1, over=True, sign=1, side=0)
+
+
+def test_operation_table_copies_and_validates_its_rows():
+    rows = [[1, 2], [2, 1]]
+    t = OperationTable(n=2, rows=rows)
+    rows[0][0] = 2
+    assert t.rows == ((1, 2), (2, 1))
+    assert t == OperationTable.from_rows([[1, 2], [2, 1]])
+    assert hash(t) == hash(OperationTable(2, t.rows))
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(Passage(1, True, -1)) == "Passage(crossing=1, over=True, sign=-1)"
+    assert repr(LinkDiagram(((), ()))) == "LinkDiagram(components=((), ()))"
+    assert repr(OperationTable(2, [[1, 2], [2, 1]])) == (
+        "OperationTable(n=2, rows=((1, 2), (2, 1)))"
+    )
+    assert repr(Polynomial2({(1, 1): 2})) == "Polynomial2(terms={(1, 1): 2})"
+    assert repr(Polynomial1()) == "Polynomial1(terms={})"
+    assert repr(ExponentProfile(True, ())) == (
+        "ExponentProfile(uniform=True, counterexamples=())"
+    )
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_instances_are_slotted(cls):
+    assert not hasattr(INSTANCES[cls], "__dict__")

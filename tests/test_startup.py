@@ -109,25 +109,33 @@ def test_unknown_name_is_an_attribute_error():
     assert raised == "module 'skewbrace' has no attribute 'nope'"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate", NAB6],
-        ["biquandle", NAB6],
-        ["ideals", NAB6],
-        ["color", NAB6, "O1+ / U1+"],
-        ["invariant", NAB6, "O1+ / U1+"],
-        ["invariant", NAB6, "O1+ / U1+", "--json"],
-        ["invariant", NAB6, "O1+ / U1+", "--type", "sb"],
-        ["invariant", NAB6, "O1+ / U1+", "--type", "ideal", "--json"],
-        ["check-moves", NAB6, "O1+ / U1+", "--trials", "2"],
-        ["batch", NAB6, LINKS],
-    ],
-    ids=[
-        "validate", "biquandle", "ideals", "color", "count", "count-json",
-        "sb", "ideal-json", "check-moves", "batch",
-    ],
-)
+COMMANDS = [
+    ["validate", NAB6],
+    ["biquandle", NAB6],
+    ["ideals", NAB6],
+    ["color", NAB6, "O1+ / U1+"],
+    ["invariant", NAB6, "O1+ / U1+"],
+    ["invariant", NAB6, "O1+ / U1+", "--json"],
+    ["invariant", NAB6, "O1+ / U1+", "--type", "sb"],
+    ["invariant", NAB6, "O1+ / U1+", "--type", "ideal", "--json"],
+    ["check-moves", NAB6, "O1+ / U1+", "--trials", "2"],
+    ["batch", NAB6, LINKS],
+]
+COMMAND_IDS = [
+    "validate", "biquandle", "ideals", "color", "count", "count-json",
+    "sb", "ideal-json", "check-moves", "batch",
+]
+MODULES = [
+    "skewbrace", "skewbrace.tables", "skewbrace.biquandle", "skewbrace.closures",
+    "skewbrace.gauss", "skewbrace.moves", "skewbrace.coloring", "skewbrace.invariants",
+    "skewbrace.bundled", "skewbrace.cli",
+]
+# `dataclasses` loads `inspect`, `ast` and `dis`: about 9 ms of every job,
+# and as much again to decorate the record classes
+SLOW_STDLIB = "('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=COMMAND_IDS)
 def test_only_coloring_commands_load_numpy(argv):
     """No command loads numpy, the coloring commands included."""
     code, loaded = python(
@@ -138,6 +146,23 @@ def test_only_coloring_commands_load_numpy(argv):
         *argv,
     )
     assert (code, loaded) == (0, False)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=COMMAND_IDS)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    code, loaded = python(
+        "import sys\n"
+        "from skewbrace.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print((code, {SLOW_STDLIB}))",
+        *argv,
+    )
+    assert (code, loaded) == (0, (False, False))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_loads_dataclasses_or_inspect(module):
+    assert python(f"import sys, {module}\nprint({SLOW_STDLIB})") == (False, False)
 
 
 @pytest.mark.parametrize(
