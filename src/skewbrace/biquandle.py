@@ -17,9 +17,7 @@ and their axioms checked in plain Python over 0-based row lists, as in
 
 from __future__ import annotations
 
-# is_involutive, a property of the brace, lives in tables and stays
-# importable from here
-from .tables import (  # noqa: F401
+from .tables import (
     DomainError,
     OperationTable,
     Record,
@@ -28,7 +26,6 @@ from .tables import (  # noqa: F401
     _gather,
     _inverse_map,
     _zero_based_rows,
-    is_involutive,
 )
 
 __all__ = [

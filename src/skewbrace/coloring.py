@@ -39,7 +39,9 @@ The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
 times semiarcs). A digit row that would pass that bound splits the
 frontier into ordered chunks and runs the rest of the plan on each chunk
 in turn, depth first, which keeps the order. Enumeration raises
-`SearchTooLarge` once the colorings it must return pass the same bound.
+`SearchTooLarge` once the colorings it must return pass the same bound,
+and before the full search when one partial coloring left at the last
+filter row already completes in more.
 The polynomials read the colorings' columns unsorted; `enumerate_colorings`
 sorts them into lexicographic order.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, product
 from operator import eq, getitem
 
 from .biquandle import Biquandle, derive_biquandle
@@ -144,37 +146,30 @@ def _pair_solution(
     label, keyed by the known labels' values. Returns None unless every
     combination determines the open pair uniquely.
     """
-    n = bq.n
     tb = _base_tables(bq)
-    m = max(labels) + 1
+    colors = range(1, bq.n + 1)
     # the two entering slots fix the other two, so the crossing has n*n
     # solutions; those that give repeated semiarcs one value are the
     # solutions over the labels
+    # the slot where each label first occurs
+    firsts = [labels.index(i) for i in range(len(known_pattern))]
     sol = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            slot = [x, y, 0, 0]
-            for dst, t, a, b in _FROM_ENTERING[sign]:
-                slot[dst] = tb[t][slot[a]][slot[b]]
-            g = [0] * m
-            for lab, v in zip(labels, slot):
-                if g[lab] == 0:
-                    g[lab] = v
-                elif g[lab] != v:
-                    break
-            else:
-                sol.append(g)
-
-    known = [i for i in range(m) if known_pattern[i]]
-    open_ = [i for i in range(m) if not known_pattern[i]]
+    for x, y in product(colors, colors):
+        slot = [x, y, 0, 0]
+        for dst, t, a, b in _FROM_ENTERING[sign]:
+            slot[dst] = tb[t][slot[a]][slot[b]]
+        g = [slot[j] for j in firsts]
+        if [g[lab] for lab in labels] == slot:
+            sol.append(g)
+    known = [i for i, k in enumerate(known_pattern) if k]
     completion = {tuple(g[i] for i in known): g for g in sol}
-    if len(sol) != n ** len(known) or len(completion) != len(sol):
+    if len(sol) != bq.n ** len(known) or len(completion) != len(sol):
         return None
-    colors = range(1, n + 1)
-    if len(known) == 1:
-        return tuple(_lookup([[completion[(x,)][o]] * n for x in colors]) for o in open_)
+    # with one known label the table ignores its second index
     return tuple(
-        _lookup([[completion[(x, y)][o] for y in colors] for x in colors]) for o in open_
+        _lookup([[completion[(x, y)[: len(known)]][o] for y in colors] for x in colors])
+        for o, k in enumerate(known_pattern)
+        if not k
     )
 
 
@@ -198,98 +193,60 @@ class CompiledPlan(Record):
 
 @lru_cache(maxsize=512)
 def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
-    s = system.semiarc_count
-    crossings = [
-        (c.sign, (c.under_in, c.over_in, c.under_out, c.over_out))
-        for c in system.constraints
-    ]
-    known = [False] * s
-    fired = [[False, False] for _ in crossings]
+    known = [False] * system.semiarc_count
     rows: list[tuple[int, ...]] = []
-    choice_arcs: list[int] = []
-    extra: list[Table] = []
-
-    def try_relation(ci: int, ri: int) -> bool:
-        sign, pat = crossings[ci]
-        dst, t, a, b = _RELS[sign][ri]
-        sd, sa, sb = pat[dst], pat[a], pat[b]
-        if known[sa] and known[sb]:
-            rows.append((1, sa, sb, sd, t, 1 if known[sd] else 0))
-            known[sd] = True
-            fired[ci][ri] = True
-            return True
-        if known[sd] and known[sb]:
-            rows.append((1, sd, sb, sa, _INV1[t], 0))
-            known[sa] = True
-            fired[ci][ri] = True
-            return True
-        return False
-
-    def try_pair(ci: int) -> bool:
-        sign, pat = crossings[ci]
-        seen: dict[int, int] = {}
-        labels = tuple(seen.setdefault(x, len(seen)) for x in pat)
-        arcs = list(seen)
-        kp = tuple(known[x] for x in arcs)
-        open_arcs = [x for x, k in zip(arcs, kp) if not k]
-        if len(open_arcs) != 2 or not any(kp):
-            return False
-        hit = _pair_solution(bq, sign, labels, kp)
-        if hit is None:
-            return False
-        known_arcs = [x for x, k in zip(arcs, kp) if k]
-        sa = known_arcs[0]
-        sb = known_arcs[1] if len(known_arcs) > 1 else known_arcs[0]
-        for dst, tab in zip(open_arcs, hit):
-            rows.append((1, sa, sb, dst, 4 + len(extra), 0))
-            extra.append(tab)
-            known[dst] = True
-        fired[ci][0] = fired[ci][1] = True
-        return True
-
-    def pick_choice() -> int:
-        # a digit at the tightest crossing propagates the furthest
-        best = None
-        best_key = None
-        for _, pat in crossings:
-            open_arcs = sorted({x for x in pat if not known[x]})
-            if not open_arcs:
-                continue
-            key = (len(open_arcs), open_arcs[0])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = open_arcs[0]
-        if best is None:
-            best = known.index(False)
-        return best
-
-    while True:
-        progress = True
-        while progress:
-            progress = False
-            for ci in range(len(crossings)):
-                for ri in (0, 1):
-                    if not fired[ci][ri] and try_relation(ci, ri):
-                        progress = True
-        if all(known):
-            break
-        if any(
-            try_pair(ci)
-            for ci in range(len(crossings))
-            if not (fired[ci][0] and fired[ci][1])
-        ):
+    tbl = list(_base_tables(bq))
+    digits = 0
+    # per crossing: its sign, its distinct semiarcs in first-occurrence
+    # order and the label of each slot among them
+    crossings = []
+    # the relations not yet in the plan, as (crossing, dst, table, a, b)
+    pending = []
+    for ci, c in enumerate(system.constraints):
+        slots = (c.under_in, c.over_in, c.under_out, c.over_out)
+        arcs = list(dict.fromkeys(slots))
+        crossings.append((c.sign, arcs, tuple(map(arcs.index, slots))))
+        pending += [(ci, slots[d], t, slots[a], slots[b]) for d, t, a, b in _RELS[c.sign]]
+    while pending or not all(known):
+        left = []
+        for rel in pending:
+            _, d, t, a, b = rel
+            if known[a] and known[b]:
+                rows.append((1, a, b, d, t, 1 if known[d] else 0))
+                known[d] = True
+            elif known[d] and known[b]:
+                rows.append((1, d, b, a, _INV1[t], 0))
+                known[a] = True
+            else:
+                left.append(rel)
+        if len(left) < len(pending):
+            pending = left
             continue
-        v = pick_choice()
-        rows.append((0, v, len(choice_arcs), 0, 0, 0))
-        choice_arcs.append(v)
-        known[v] = True
-
-    assert all(f0 and f1 for f0, f1 in fired)
+        for ci in dict.fromkeys(rel[0] for rel in pending):
+            sign, arcs, labels = crossings[ci]
+            kp = tuple(known[x] for x in arcs)
+            if kp.count(False) == 2 and any(kp) and (hit := _pair_solution(bq, sign, labels, kp)):
+                # each pair row reads the two known semiarcs, or the one twice
+                given = [x for x in arcs if known[x]]
+                for dst, tab in zip([x for x in arcs if not known[x]], hit):
+                    rows.append((1, given[0], given[-1], dst, len(tbl), 0))
+                    tbl.append(tab)
+                    known[dst] = True
+                pending = [rel for rel in pending if rel[0] != ci]
+                break
+        else:
+            # a digit at the tightest crossing propagates the furthest
+            tight = [
+                (len(o), min(o))
+                for _, arcs, _ in crossings
+                if (o := [x for x in arcs if not known[x]])
+            ]
+            v = min(tight)[1] if tight else known.index(False)
+            rows.append((0, v, digits, 0, 0, 0))
+            digits += 1
+            known[v] = True
     return CompiledPlan(
-        plan=tuple(rows),
-        tbl=_base_tables(bq) + tuple(extra),
-        n=bq.n,
-        semiarc_count=s,
+        plan=tuple(rows), tbl=tuple(tbl), n=bq.n, semiarc_count=system.semiarc_count
     )
 
 
@@ -345,6 +302,15 @@ def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[tuple[int, list[Column |
     yield from walk(1, [None] * s, 0)
 
 
+def _count_split(cp: CompiledPlan) -> tuple[int, int]:
+    """The row after the plan's last filter row, and the digit rows after
+    it: each partial coloring left there completes in exactly n**free
+    ways."""
+    rows = cp.plan
+    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1 and row[5] == 1), default=0)
+    return stop, sum(row[0] == 0 for row in rows[stop:])
+
+
 def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> int:
     """Number of colorings, without materializing them.
 
@@ -352,9 +318,7 @@ def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
     for compatibility and has no effect.
     """
     cp = _compiled_for(brace, d)
-    rows = cp.plan
-    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1 and row[5] == 1), default=0)
-    free = sum(row[0] == 0 for row in rows[stop:])
+    stop, free = _count_split(cp)
     return sum(m for m, _ in _frontiers(cp, stop)) * cp.n**free
 
 
@@ -366,16 +330,25 @@ def _coloring_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     `_FRONTIER_CELLS` cells.
     """
     cp = _compiled_for(brace, d)
-    s = cp.semiarc_count
-    out = [_column_type(cp.n)() for _ in range(s)]
+    n, s = cp.n, cp.semiarc_count
+    too_many = SearchTooLarge(
+        f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs "
+        f"pass the budget of {_FRONTIER_CELLS} cells"
+    )
+    # each partial coloring left at the last filter row completes in
+    # n**free ways, so when that passes the budget one survivor is enough
+    # to fail; the full search would find that out only after nesting one
+    # chunk, each with its own frontier, per free digit row. When n * s
+    # alone passes the budget, the full search's own first error stands.
+    stop, free = _count_split(cp)
+    if n * s <= _FRONTIER_CELLS < n**free * s and any(_frontiers(cp, stop)):
+        raise too_many
+    out = [_column_type(n)() for _ in range(s)]
     found = 0
     for m, cols in _frontiers(cp, len(cp.plan)):
         found += m
         if found * s > _FRONTIER_CELLS:
-            raise SearchTooLarge(
-                f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs "
-                f"pass the budget of {_FRONTIER_CELLS} cells"
-            )
+            raise too_many
         for j, c in enumerate(cols):
             out[j] += c
     return out

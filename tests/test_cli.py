@@ -207,6 +207,31 @@ def test_polynomials_past_the_budget_are_a_domain_error(argv, tmp_path):
     assert out.stderr == BUDGET_ERROR
 
 
+WIDE_UNLINK = " / ".join(["-"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("invariant", "--type", "sb"), ("invariant", "--type", "ideal", "--json"), ("color",)],
+    ids=["sb", "ideal-json", "color"],
+)
+def test_wide_links_fail_at_the_budget_at_once(argv):
+    """1200 free digit rows past the last filter row: the budget error
+    comes at once, before the search nests one chunk, each holding its
+    own frontier, per digit row."""
+    out = run_process(argv[0], bundled_brace_path("klein_z4"), WIDE_UNLINK, *argv[1:])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: more than 3495 colorings of 1200 semiarcs pass the budget of 4194304 cells\n"
+    )
+
+
+def test_wide_links_still_count():
+    out = run_process("invariant", bundled_brace_path("klein_z4"), WIDE_UNLINK)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"{4**1200}\n", "")
+
+
 CODE_ERROR = "crossing 1 must appear exactly once over and once under"
 
 

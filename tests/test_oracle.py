@@ -56,12 +56,36 @@ def has_pair_rows(brace, d) -> bool:
     return any(kind == 1 and t >= 4 for kind, _, _, _, t, _ in plan)
 
 
+def check_plan_structure(cp, crossings: int) -> None:
+    """Each row reads only semiarcs that earlier rows wrote; digit and fill
+    rows write a new semiarc and filter rows none; every semiarc is
+    written, every table exists, and each crossing gives two relation
+    rows."""
+    written = set()
+    for kind, a, b, dst, t, mode in cp.plan:
+        if kind == 0:
+            assert a not in written
+            written.add(a)
+            continue
+        assert {a, b} <= written and t < len(cp.tbl)
+        if mode == 0:
+            assert dst not in written
+            written.add(dst)
+        else:
+            assert dst in written
+    assert written == set(range(cp.semiarc_count))
+    assert sum(row[0] == 1 for row in cp.plan) == 2 * crossings
+
+
 def check_against_oracle(d) -> int:
-    """Check every brace whose space n**s is small enough for the oracle;
-    return how many of those plans use pair-solution rows."""
-    s = build_constraints(d).semiarc_count
+    """Check every brace's plan structure, and the colorings of every brace
+    whose space n**s is small enough for the oracle; return how many of
+    those plans use pair-solution rows."""
+    system = build_constraints(d)
+    s = system.semiarc_count
     pair_plans = 0
     for brace in braces.values():
+        check_plan_structure(coloring._compiled_for(brace, d), len(system.constraints))
         if brace.n**s > ORACLE_SPACE:
             continue
         cols = enumerate_colorings(brace, d)
@@ -210,6 +234,10 @@ def test_budget_below_one_expansion_raises(monkeypatch):
         counting_invariant(brace, trefoil)
     with pytest.raises(SearchTooLarge):
         enumerate_colorings(brace, trefoil)
+    # no filter row at all: the digit row's error, not the colorings'
+    monkeypatch.setattr(coloring, "_FRONTIER_CELLS", brace.n * 3 - 1)
+    with pytest.raises(SearchTooLarge, match="partial colorings of 3 semiarcs"):
+        enumerate_colorings(brace, parse_gauss_code("- / - / -"))
 
 
 def test_enumeration_budget_counts_every_chunk(monkeypatch):
