@@ -68,7 +68,7 @@ _EXPORTS = {
     "random_diagram_walk": "moves",
     "enumerate_colorings": "coloring",
     "counting_invariant": "coloring",
-    "brute_force_colorings": "coloring",
+    "brute_force_colorings": "oracle",
     "SearchTooLarge": "coloring",
     "Polynomial2": "invariants",
     "Polynomial1": "invariants",

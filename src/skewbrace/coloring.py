@@ -42,8 +42,10 @@ in turn, depth first, which keeps the order. Enumeration raises
 `SearchTooLarge` once the colorings it must return pass the same bound,
 and before the full search when one partial coloring left at the last
 filter row already completes in more.
-The polynomials read the colorings' columns unsorted; `enumerate_colorings`
-sorts them into lexicographic order.
+The polynomials never make the colorings: `_color_set_counts` folds the
+partial colorings left at the last filter row into counts per used-color
+set. `enumerate_colorings` sorts the colorings' columns into
+lexicographic order.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -51,10 +53,11 @@ Everything here is plain Python over `bytearray`, `array` and tuples.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from functools import lru_cache, partial
 from itertools import compress, product
-from operator import eq, getitem
+from operator import eq, getitem, or_
 
 from .biquandle import Biquandle, derive_biquandle
 from .gauss import LinkDiagram, SemiarcSystem, build_constraints
@@ -65,13 +68,11 @@ __all__ = [
     "SearchTooLarge",
     "enumerate_colorings",
     "counting_invariant",
-    "brute_force_colorings",
     "derived_biquandle",
 ]
 
 Coloring = tuple[int, ...]
 
-_BRUTE_LIMIT = 10**7
 # the most cells (partial colorings times semiarcs) one frontier may hold,
 # and the most an enumeration may return
 _FRONTIER_CELLS = 1 << 22
@@ -303,12 +304,15 @@ def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[tuple[int, list[Column |
 
 
 def _count_split(cp: CompiledPlan) -> tuple[int, int]:
-    """The row after the plan's last filter row, and the digit rows after
-    it: each partial coloring left there completes in exactly n**free
-    ways."""
+    """The row after the plan's last relation row, and the digit rows after
+    it: no row reads their semiarcs, so each partial coloring left there
+    completes in exactly n**free ways, one per choice of their colors.
+    In the plans `_compile` makes, that relation row is a filter row (the
+    oracle tests check it) and those digits are on zero-crossing
+    components."""
     rows = cp.plan
-    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1 and row[5] == 1), default=0)
-    return stop, sum(row[0] == 0 for row in rows[stop:])
+    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1), default=0)
+    return stop, len(rows) - stop
 
 
 def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> int:
@@ -354,6 +358,41 @@ def _coloring_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     return out
 
 
+def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
+    """How many colorings use each set of colors, keyed by the set as a
+    bitmask (bit x - 1 for color x), without making the colorings.
+
+    The count's search runs up to the last filter row, and each partial
+    coloring left there ORs its columns into its mask. Every digit row
+    after that only widens the masks, since no row reads its semiarc.
+    Where the enumeration would pass its budget, this raises the
+    enumeration's own SearchTooLarge.
+    """
+    cp = _compiled_for(brace, d)
+    n, s = cp.n, cp.semiarc_count
+    stop, free = _count_split(cp)
+    bit = [0] + [1 << x for x in range(n)]
+    counts: dict[int, int] = Counter()
+    found = 0
+    for m, cols in _frontiers(cp, stop):
+        found += m
+        if found * n**free * s > _FRONTIER_CELLS:
+            # the colorings pass the budget, so the enumeration raises
+            _coloring_columns(brace, d)
+        keys = [0] * m
+        for col in cols:
+            if col is not None:
+                keys = list(map(or_, keys, map(bit.__getitem__, col)))
+        counts.update(keys)
+    for _ in range(free):
+        wider: dict[int, int] = {}
+        for key, c in counts.items():
+            for b in bit[1:]:
+                wider[key | b] = wider.get(key | b, 0) + c
+        counts = wider
+    return counts
+
+
 def enumerate_colorings(
     brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
 ) -> list[Coloring]:
@@ -364,43 +403,3 @@ def enumerate_colorings(
     no effect.
     """
     return sorted(zip(*_coloring_columns(brace, d)))
-
-
-def brute_force_colorings(
-    brace: SkewBrace, d: LinkDiagram, limit: int = _BRUTE_LIMIT
-) -> list[Coloring]:
-    """All n**s assignments that satisfy the raw crossing relations, as
-    1-based semiarc tuples in lexicographic order.
-
-    Independent of the plan compiler; useful as an oracle. Prefixes grow
-    one semiarc at a time, in index order, trying every color on each, and
-    a crossing's two relations are checked once its highest semiarc is
-    set. Refuses search spaces above `limit`.
-    """
-    system = build_constraints(d)
-    s, n = system.semiarc_count, brace.n
-    total = n**s
-    if total > limit:
-        raise ValueError(f"brute force space {total} exceeds limit {limit}")
-
-    u, o, u_inv, o_inv = _base_tables(derived_biquandle(brace))
-    # (table, a, b, dst): a coloring p needs table[p[a]][p[b]] == p[dst]
-    checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(s)]
-    for c in system.constraints:
-        ui, oi, uo, oo = c.under_in, c.over_in, c.under_out, c.over_out
-        if c.sign > 0:
-            rels = ((u, ui, oo, uo), (o_inv, oi, ui, oo))
-        else:
-            rels = ((u_inv, ui, oi, uo), (o, oi, uo, oo))
-        checks[max(ui, oi, uo, oo)].extend(rels)
-
-    colors = range(1, n + 1)
-    found: list[Coloring] = [()]
-    for level in checks:
-        grown = (q + (x,) for q in found for x in colors)
-        if level:
-            grown = (
-                p for p in grown if all(t[p[a]][p[b]] == p[dst] for t, a, b, dst in level)
-            )
-        found = list(grown)
-    return found

@@ -8,13 +8,11 @@ count.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from operator import or_
 from typing import ClassVar
 
 from .closures import _biquandle_mask, _group_mask, _ideal_mask
-from .coloring import _coloring_columns, derived_biquandle
+from .coloring import _color_set_counts, derived_biquandle
 from .gauss import LinkDiagram, format_gauss_code
 from .tables import Record, SkewBrace
 
@@ -132,25 +130,21 @@ def _image_profile(brace: SkewBrace, colors: int) -> tuple[int, int, int]:
 def both_polynomials(
     brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
 ) -> tuple[Polynomial2, Polynomial1]:
-    """Both enhancements from a single enumeration pass.
+    """Both enhancements from one coloring search.
 
-    Each coloring reduces to one key, the set of colors it uses as an int
-    bitmask (bit x - 1 for color x), ORed together one semiarc column at a
-    time, and colorings with the same key share one monomial: the set's
-    image (its biquandle closure) is measured three ways, the circ- and
-    star-group closure sizes feeding the two-variable polynomial and the
-    ideal closure size the one-variable one. Each distinct set is measured
-    once through a bounded cache keyed by (brace, color set). `jobs` is
-    accepted for compatibility and has no effect.
+    Colorings that use the same set of colors share one monomial, so the
+    search folds them into a count per set, keyed by the set as an int
+    bitmask (bit x - 1 for color x), without making the colorings. Each
+    set's image (its biquandle closure) is measured three ways, the circ-
+    and star-group closure sizes feeding the two-variable polynomial and
+    the ideal closure size the one-variable one. Each distinct set is
+    measured once through a bounded cache keyed by (brace, color set).
+    Raises the enumeration's SearchTooLarge past the same budget. `jobs`
+    is accepted for compatibility and has no effect.
     """
-    bit = [0] + [1 << x for x in range(brace.n)]
-    first, *rest = _coloring_columns(brace, d)
-    keys = list(map(bit.__getitem__, first))
-    for col in rest:
-        keys = list(map(or_, keys, map(bit.__getitem__, col)))
     terms2: dict[tuple[int, int], int] = {}
     terms1: dict[int, int] = {}
-    for key, mult in Counter(keys).items():
+    for key, mult in _color_set_counts(brace, d).items():
         a, b, c = _image_profile(brace, key)
         terms2[(a, b)] = terms2.get((a, b), 0) + mult
         terms1[c] = terms1.get(c, 0) + mult

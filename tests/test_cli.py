@@ -115,6 +115,18 @@ def test_color_prints_multi_digit_colors(capsys, tmp_path):
     assert run(capsys, "color", str(path), code) == (0, want, "")
 
 
+def test_color_prints_16_bit_colors(capsys, tmp_path):
+    """257 colors do not fit a byte: the columns hold 16-bit colors."""
+    brace = trivial_cyclic_brace(257)
+    path = tmp_path / "z257.txt"
+    path.write_text(format_brace_file(brace))
+    code = "O1+ / U1+"
+    rows = enumerate_colorings(brace, parse_gauss_code(code))
+    assert len(rows) == 66049
+    want = "".join(line + "\n" for line in ["# semiarc 0 1", *(" ".join(map(str, row)) for row in rows)])
+    assert run(capsys, "color", str(path), code) == (0, want, "")
+
+
 def test_color_output_spans_several_chunks(capsys):
     """`color` writes its lines a chunk at a time, header first, with the
     same bytes as formatting every coloring line by line."""

@@ -60,7 +60,8 @@ def check_plan_structure(cp, crossings: int) -> None:
     """Each row reads only semiarcs that earlier rows wrote; digit and fill
     rows write a new semiarc and filter rows none; every semiarc is
     written, every table exists, and each crossing gives two relation
-    rows."""
+    rows. The last relation row is a filter row, so the count and the
+    polynomials stop at the last filter."""
     written = set()
     for kind, a, b, dst, t, mode in cp.plan:
         if kind == 0:
@@ -75,6 +76,8 @@ def check_plan_structure(cp, crossings: int) -> None:
             assert dst in written
     assert written == set(range(cp.semiarc_count))
     assert sum(row[0] == 1 for row in cp.plan) == 2 * crossings
+    relations = [row for row in cp.plan if row[0] == 1]
+    assert not relations or relations[-1][5] == 1
 
 
 def check_against_oracle(d) -> int:
@@ -158,14 +161,72 @@ def reference_polynomials(name: str, d) -> tuple[Polynomial2, Polynomial1]:
     rng=st.randoms(use_true_random=False),
     crossings=st.integers(0, 4),
     components=st.integers(1, 3),
+    pads=st.integers(0, 3),
 )
 @settings(max_examples=40, deadline=None)
-def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, components):
-    d = parse_gauss_code(random_code(rng, crossings, components))
+def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, components, pads):
+    # zero-crossing components add digit rows past the last filter row
+    d = parse_gauss_code(random_code(rng, crossings, components) + " / -" * pads)
     s = build_constraints(d).semiarc_count
     for name, brace in braces.items():
         if brace.n**s <= ORACLE_SPACE:
             assert both_polynomials(brace, d) == reference_polynomials(name, d)
+
+
+def per_coloring_polynomials(brace, d) -> tuple[Polynomial2, Polynomial1]:
+    """Both polynomials from every enumerated coloring's color set."""
+    terms2: Counter = Counter()
+    terms1: Counter = Counter()
+    for row in enumerate_colorings(brace, d):
+        a, b, c = invariants._image_profile(brace, sum(1 << (x - 1) for x in set(row)))
+        terms2[a, b] += 1
+        terms1[c] += 1
+    return Polynomial2(dict(terms2)), Polynomial1(dict(terms1))
+
+
+PADDED_LINKS = ("-", "- / -", "O1+ / U1+", "O1+ U2+ O3+ U1+ O2+ U3+", "O1+ U2- O4- U1+ O3+ U4- O2- U3+")
+
+
+@pytest.mark.parametrize("name", BRACE_NAMES)
+def test_polynomials_match_enumeration_on_padded_links(name):
+    """Each link with the fewest zero-crossing components, at least one,
+    that give it 10**4 colorings, the components in a seeded order."""
+    brace = braces[name]
+    rng = random.Random(name)
+    for code in PADDED_LINKS:
+        count = counting_invariant(brace, parse_gauss_code(code))
+        k = next(k for k in range(1, 20) if count * brace.n**k >= 10**4)
+        comps = code.split(" / ") + ["-"] * k
+        rng.shuffle(comps)
+        d = parse_gauss_code(" / ".join(comps))
+        assert both_polynomials(brace, d) == per_coloring_polynomials(brace, d)
+
+
+def budget_error(call, *args) -> str:
+    with pytest.raises(SearchTooLarge) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_polynomials_raise_the_enumeration_budget_errors(monkeypatch):
+    """Below one digit row's expansion both raise the partial-colorings
+    error; below the colorings' cells both raise the colorings error."""
+    rng = random.Random(12)
+    messages = Counter()
+    for _ in range(40):
+        name = rng.choice(BRACE_NAMES)
+        brace = braces[name]
+        code = random_code(rng, rng.randint(0, 4), rng.randint(1, 3)) + " / -" * rng.randint(0, 3)
+        d = parse_gauss_code(code)
+        n, s = brace.n, build_constraints(d).semiarc_count
+        cells = counting_invariant(brace, d) * s
+        for budget in {b for b in (n * s - 1, max(n * s, cells - 1), cells // n) if b < cells}:
+            monkeypatch.setattr(coloring, "_FRONTIER_CELLS", budget)
+            want = budget_error(coloring._coloring_columns, brace, d)
+            assert budget_error(both_polynomials, brace, d) == want
+            messages[want.split()[0]] += 1
+        monkeypatch.undo()
+    assert messages["more"] >= 20 and sum(messages.values()) - messages["more"] >= 20
 
 
 def test_profile_cache_is_keyed_by_brace():

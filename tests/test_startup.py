@@ -128,7 +128,7 @@ COMMAND_IDS = [
 MODULES = [
     "skewbrace", "skewbrace.tables", "skewbrace.biquandle", "skewbrace.closures",
     "skewbrace.gauss", "skewbrace.moves", "skewbrace.coloring", "skewbrace.invariants",
-    "skewbrace.bundled", "skewbrace.cli",
+    "skewbrace.bundled", "skewbrace.cli", "skewbrace.oracle",
 ]
 # `dataclasses` loads `inspect`, `ast` and `dis`: about 9 ms of every job,
 # and as much again to decorate the record classes
@@ -166,7 +166,8 @@ def test_no_module_loads_dataclasses_or_inspect(module):
 
 
 @pytest.mark.parametrize(
-    "module", ["tables", "biquandle", "closures", "gauss", "moves", "coloring", "invariants"]
+    "module",
+    ["tables", "biquandle", "closures", "gauss", "moves", "coloring", "invariants", "oracle"],
 )
 def test_algebra_modules_load_no_numpy(module):
     assert python(f"import sys, skewbrace.{module}\nprint('numpy' in sys.modules)") is False
