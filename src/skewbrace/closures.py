@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .tables import FiniteGroup, OperationTable, SkewBrace
+from .tables import FiniteGroup, OperationTable, SkewBrace, _index
 
 if TYPE_CHECKING:
     from .biquandle import Biquandle
@@ -54,10 +54,10 @@ def _require_nonempty(s) -> set[int]:
     return out
 
 
-def _to_mask(s) -> int:
+def _to_mask(s, n: int) -> int:
     m = 0
     for x in _require_nonempty(s):
-        m |= 1 << (x - 1)
+        m |= 1 << _index(x, n)
     return m
 
 
@@ -161,12 +161,12 @@ def group_closure(group: FiniteGroup, s) -> Subset:
 
     Inverses and the identity come for free in a finite group.
     """
-    return _from_mask(_group_mask(group, _to_mask(s)))
+    return _from_mask(_group_mask(group, _to_mask(s, group.n)))
 
 
 def biquandle_closure(bq: Biquandle, s) -> Subset:
     """Smallest superset of s closed under the under and over operations."""
-    return _from_mask(_biquandle_mask(bq, _to_mask(s)))
+    return _from_mask(_biquandle_mask(bq, _to_mask(s, bq.n)))
 
 
 def ideal_closure(brace: SkewBrace, s) -> Subset:
@@ -174,7 +174,7 @@ def ideal_closure(brace: SkewBrace, s) -> Subset:
 
     Always contains the identity, since y^circ circ y = e.
     """
-    return _from_mask(_ideal_mask(brace, _to_mask(s)))
+    return _from_mask(_ideal_mask(brace, _to_mask(s, brace.n)))
 
 
 def is_ideal(brace: SkewBrace, s) -> bool:

@@ -36,16 +36,15 @@ the last filter row: each partial coloring left then completes in
 exactly n**(digit rows left) ways.
 
 The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
-times semiarcs). A digit row that would pass that bound splits the
-frontier into ordered chunks and runs the rest of the plan on each chunk
-in turn, depth first, which keeps the order. Enumeration raises
-`SearchTooLarge` once the colorings it must return pass the same bound,
-and before the full search when one partial coloring left at the last
-filter row already completes in more.
-The polynomials never make the colorings: `_color_set_counts` folds the
-partial colorings left at the last filter row into counts per used-color
-set. `enumerate_colorings` sorts the colorings' columns into
-lexicographic order.
+times semiarcs). A digit row that would pass that bound cuts the frontier
+into chunks that pass it within the bound and pushes them onto one stack
+of blocks, the first chunk on top, which keeps the order. The count has
+no other bound. Enumeration and the polynomials run the count's search
+to the last filter row and raise `SearchTooLarge` there once the
+colorings the partial colorings left complete to would pass the same
+bound. `_coloring_columns` then expands each through the digit rows
+after that row, and `_color_set_counts` folds them into counts per
+used-color set without making the colorings.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -97,6 +96,8 @@ _FROM_ENTERING = {1: _RELS[1][::-1], -1: _RELS[-1]}
 
 Column = MutableSequence[int]
 Table = tuple[tuple[int, ...], ...]
+# m partial colorings, as one column of m colors per semiarc or None
+Block = tuple[int, list[Column | None]]
 
 
 def _column_type(n: int) -> Callable[..., Column]:
@@ -256,34 +257,43 @@ def _compiled_for(brace: SkewBrace, d: LinkDiagram) -> CompiledPlan:
     return _compile(bq, build_constraints(d))
 
 
-def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[tuple[int, list[Column | None]]]:
-    """Run plan rows [0, stop) breadth first; yield the surviving partial
-    colorings as blocks (m, columns), in digit order: m partial colorings
-    and one column of m colors per semiarc, None for a semiarc no row has
-    assigned yet."""
+def _too_large(n: int, s: int) -> SearchTooLarge:
+    """The budget error of a search over n colors and s semiarcs: one digit
+    row's expansion when n * s alone passes the budget, else the colorings."""
+    if n * s > _FRONTIER_CELLS:
+        what = f"{n} partial colorings of {s} semiarcs pass the frontier budget"
+    else:
+        what = f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs pass the budget"
+    return SearchTooLarge(f"{what} of {_FRONTIER_CELLS} cells")
+
+
+def _frontiers(
+    cp: CompiledPlan, stop: int, start: tuple[int, int, list[Column | None]] | None = None
+) -> Iterator[Block]:
+    """Run plan rows [0, stop) breadth first, or rows [first, stop) on the
+    block `start` = (first, m, columns); yield the surviving partial
+    colorings as blocks (m, columns) in digit order, with None for a
+    semiarc no row has assigned yet."""
     n, s = cp.n, cp.semiarc_count
     rows, tbl = cp.plan, cp.tbl
     column = _column_type(n)
     digits = column(range(1, n + 1))
     step = _FRONTIER_CELLS // (n * s)
-
-    def walk(
-        m: int, cols: list[Column | None], first: int
-    ) -> Iterator[tuple[int, list[Column | None]]]:
+    # the blocks still to run, as (first row, m, columns), the next on top
+    stack = [start or (0, 1, [None] * s)]
+    while stack:
+        first, m, cols = stack.pop()
         for r in range(first, stop):
             kind, a, b, dst, t, mode = rows[r]
             if kind == 0:
                 if m > step:
                     if step == 0:
-                        raise SearchTooLarge(
-                            f"{n} partial colorings of {s} semiarcs pass the "
-                            f"frontier budget of {_FRONTIER_CELLS} cells"
-                        )
+                        raise _too_large(n, s)
                     # each chunk passes this row within budget
-                    for lo in range(0, m, step):
+                    for lo in reversed(range(0, m, step)):
                         chunk = [None if c is None else c[lo : lo + step] for c in cols]
-                        yield from walk(min(step, m - lo), chunk, r)
-                    return
+                        stack.append((r, min(step, m - lo), chunk))
+                    break
                 cols = [None if c is None else _repeat(c, n) for c in cols]
                 cols[a] = digits * m
                 m *= n
@@ -294,13 +304,12 @@ def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[tuple[int, list[Column |
                 keep = bytes(map(eq, cols[dst], val))
                 left = keep.count(1)
                 if left == 0:
-                    return
+                    break
                 if left < m:
                     m = left
                     cols = [None if c is None else column(compress(c, keep)) for c in cols]
-        yield m, cols
-
-    yield from walk(1, [None] * s, 0)
+        else:
+            yield m, cols
 
 
 def _count_split(cp: CompiledPlan) -> tuple[int, int]:
@@ -326,35 +335,30 @@ def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
     return sum(m for m, _ in _frontiers(cp, stop)) * cp.n**free
 
 
+def _survivors(cp: CompiledPlan, stop: int, free: int) -> Iterator[Block]:
+    """The count's search, rows [0, stop), under the enumeration's budget:
+    raises SearchTooLarge once the partial colorings found complete to
+    colorings of more than `_FRONTIER_CELLS` cells."""
+    n, s = cp.n, cp.semiarc_count
+    found = 0
+    for m, cols in _frontiers(cp, stop):
+        found += m
+        if found * n**free * s > _FRONTIER_CELLS:
+            raise _too_large(n, s)
+        yield m, cols
+
+
 def _coloring_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     """All colorings as one column of colors per semiarc, in the frontier's
-    order.
-
-    Raises SearchTooLarge when the colorings would take more than
-    `_FRONTIER_CELLS` cells.
-    """
+    order: the count's partial colorings expanded through the digit rows
+    left. Raises the budget errors of `_survivors`."""
     cp = _compiled_for(brace, d)
-    n, s = cp.n, cp.semiarc_count
-    too_many = SearchTooLarge(
-        f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs "
-        f"pass the budget of {_FRONTIER_CELLS} cells"
-    )
-    # each partial coloring left at the last filter row completes in
-    # n**free ways, so when that passes the budget one survivor is enough
-    # to fail; the full search would find that out only after nesting one
-    # chunk, each with its own frontier, per free digit row. When n * s
-    # alone passes the budget, the full search's own first error stands.
     stop, free = _count_split(cp)
-    if n * s <= _FRONTIER_CELLS < n**free * s and any(_frontiers(cp, stop)):
-        raise too_many
-    out = [_column_type(n)() for _ in range(s)]
-    found = 0
-    for m, cols in _frontiers(cp, len(cp.plan)):
-        found += m
-        if found * s > _FRONTIER_CELLS:
-            raise too_many
-        for j, c in enumerate(cols):
-            out[j] += c
+    out = [_column_type(cp.n)() for _ in range(cp.semiarc_count)]
+    for m, cols in _survivors(cp, stop, free):
+        for _, whole in _frontiers(cp, len(cp.plan), (stop, m, cols)):
+            for j, c in enumerate(whole):
+                out[j] += c
     return out
 
 
@@ -362,23 +366,15 @@ def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
     """How many colorings use each set of colors, keyed by the set as a
     bitmask (bit x - 1 for color x), without making the colorings.
 
-    The count's search runs up to the last filter row, and each partial
-    coloring left there ORs its columns into its mask. Every digit row
-    after that only widens the masks, since no row reads its semiarc.
-    Where the enumeration would pass its budget, this raises the
-    enumeration's own SearchTooLarge.
+    Each partial coloring `_survivors` leaves ORs its columns into its
+    mask, under the enumeration's budget. Every digit row after the last
+    filter row only widens the masks, since no row reads its semiarc.
     """
     cp = _compiled_for(brace, d)
-    n, s = cp.n, cp.semiarc_count
     stop, free = _count_split(cp)
-    bit = [0] + [1 << x for x in range(n)]
+    bit = [0] + [1 << x for x in range(cp.n)]
     counts: dict[int, int] = Counter()
-    found = 0
-    for m, cols in _frontiers(cp, stop):
-        found += m
-        if found * n**free * s > _FRONTIER_CELLS:
-            # the colorings pass the budget, so the enumeration raises
-            _coloring_columns(brace, d)
+    for m, cols in _survivors(cp, stop, free):
         keys = [0] * m
         for col in cols:
             if col is not None:

@@ -143,6 +143,13 @@ class IdentityMismatch(ValidationError):
         )
 
 
+def _index(x: int, n: int) -> int:
+    """The 0-based index of element x of the carrier 1..n."""
+    if not 1 <= x <= n:
+        raise ValueError(f"element {x} is outside 1..{n}")
+    return x - 1
+
+
 def _shape(entries) -> tuple[int, ...]:
     """The shape of nested sequences `entries`, read along first items."""
     out = []
@@ -189,7 +196,7 @@ class OperationTable(Record):
         return cls(len(rows), rows)
 
     def value(self, x: int, y: int) -> int:
-        return self.rows[x - 1][y - 1]
+        return self.rows[_index(x, self.n)][_index(y, self.n)]
 
     def __hash__(self) -> int:
         return self._hash
@@ -208,7 +215,7 @@ class FiniteGroup(Record):
         return self.table.value(x, y)
 
     def inv(self, x: int) -> int:
-        return self.inverse[x - 1]
+        return self.inverse[_index(x, self.table.n)]
 
 
 class SkewBrace(Record):

@@ -41,6 +41,19 @@ def test_r_map_anchor(braces):
     assert r_map(braces["nab6"], 4, 3) == (2, 5)
 
 
+@pytest.mark.parametrize("x", [0, -1, 7])
+def test_maps_reject_elements_outside_the_carrier(braces, x):
+    brace = braces["nab6"]
+    bq = derive_biquandle(brace)
+    for call in (yb_map, yb_map_inverse):
+        for args in ((x, 1), (1, x)):
+            with pytest.raises(ValueError, match=f"^element {x} is outside 1..6$"):
+                call(bq, *args)
+    for args in ((x, 2), (2, x)):
+        with pytest.raises(ValueError, match=f"^element {x} is outside 1..6$"):
+            r_map(brace, *args)
+
+
 def test_r_map_is_a_bijection_everywhere(braces):
     for brace in braces.values():
         n = brace.n

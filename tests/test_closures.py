@@ -73,6 +73,21 @@ def test_empty_generators_rejected(braces):
         ideal_closure(brace, [])
 
 
+@pytest.mark.parametrize("x", [0, -1, 7])
+def test_closures_reject_elements_outside_the_carrier(braces, x):
+    brace = braces["nab6"]
+    calls = (
+        lambda s: group_closure(brace.circ, s),
+        lambda s: group_closure(brace.star, s),
+        lambda s: biquandle_closure(derived_biquandle(brace), s),
+        lambda s: ideal_closure(brace, s),
+        lambda s: is_ideal(brace, s),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^element {x} is outside 1..6$"):
+            call([1, x])
+
+
 def test_group_closure_is_minimal_closed_superset(braces):
     # oracle: intersection of every op-closed subset containing the seed
     for brace in braces.values():

@@ -5,6 +5,7 @@ frontier budget small enough to force chunks."""
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -284,6 +285,49 @@ def test_chunked_search_matches_unchunked(monkeypatch):
         assert enumerate_colorings(brace, d) == cols
         monkeypatch.undo()
     assert chunked >= 30
+
+
+def test_a_chunk_chain_past_the_recursion_limit(monkeypatch):
+    """One partial coloring per chunk down a chain of more digit rows than
+    the recursion limit: the stack of chunks needs no Python frame per
+    level."""
+    k = sys.getrecursionlimit()
+    plan = [(0, 0, 0, 0, 0, 0)]
+    for i in range(1, k + 1):
+        # a digit on semiarc i, then keep vals[i - 1] == T[vals[i]][vals[i]]
+        plan += [(0, i, i, 0, 0, 0), (1, i, i, i - 1, 0, 1)]
+    table = coloring._lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
+    cp = coloring.CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1)
+    monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 3 * (k + 1))
+    assert frontier_rows(cp) == [[1] * (k + 1), [1] * k + [2], [3] * (k + 1)]
+
+
+def test_coloring_columns_keep_the_frontier_order():
+    rng = random.Random(16)
+    for _ in range(100):
+        brace = braces[rng.choice(BRACE_NAMES)]
+        code = random_code(rng, rng.randint(0, 4), rng.randint(1, 3)) + " / -" * rng.randint(0, 3)
+        d = parse_gauss_code(code)
+        cp = coloring._compiled_for(brace, d)
+        rows = [list(row) for row in zip(*coloring._coloring_columns(brace, d))]
+        assert rows == frontier_rows(cp)
+
+
+def test_budget_errors_read_the_same(monkeypatch):
+    """The two budget texts, word for word; the count has no budget past
+    its frontier."""
+    dih8, nab6 = braces["dih8"], braces["nab6"]
+    unlink3, trefoil = parse_gauss_code("- / - / -"), bundled_links()["trefoil"]
+    monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 8 * 3 - 1)
+    partial = "8 partial colorings of 3 semiarcs pass the frontier budget of 23 cells"
+    assert budget_error(enumerate_colorings, dih8, unlink3) == partial
+    assert budget_error(both_polynomials, dih8, unlink3) == partial
+    assert counting_invariant(dih8, unlink3) == 512
+    monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 71)
+    many = "more than 11 colorings of 6 semiarcs pass the budget of 71 cells"
+    assert budget_error(enumerate_colorings, nab6, trefoil) == many
+    assert budget_error(both_polynomials, nab6, trefoil) == many
+    assert counting_invariant(nab6, trefoil) == 12
 
 
 def test_budget_below_one_expansion_raises(monkeypatch):
