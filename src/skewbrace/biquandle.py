@@ -40,16 +40,6 @@ __all__ = [
     "r_map",
 ]
 
-AXIOM_NAMES = (
-    "fixed_point",
-    "right_invertible",
-    "pair_bijective",
-    "exchange_1",
-    "exchange_2",
-    "exchange_3",
-)
-
-
 class AxiomViolation(DomainError):
     def __init__(self, axiom: str, witness: tuple[int, ...]) -> None:
         self.axiom = axiom

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _TOKEN = re.compile(r"([OU])([0-9]+)([+-])\Z")
+_ALONE = "`-` must be the only token in its component"
 
 
 class GaussCodeError(DomainError):
@@ -109,48 +110,33 @@ def parse_gauss_code(text: str) -> LinkDiagram:
     """Parse and validate a signed Gauss code."""
     components: list[list[Passage]] = []
     current: list[Passage] = []
-    current_tokens = 0
-    marker_pos: int | None = None
-    boundary_pos = 0
-    saw_any = False
-
-    def close_component(pos: int) -> None:
-        nonlocal current, current_tokens, marker_pos
-        if current_tokens == 0:
-            raise GaussSyntaxError(pos, "empty component")
-        if marker_pos is not None and current_tokens > 1:
-            raise GaussSyntaxError(marker_pos, "`-` must be the only token in its component")
-        components.append(current)
-        current = []
-        current_tokens = 0
-        marker_pos = None
-
+    marker: int | None = None  # offset of this component's `-`
+    boundary = 0  # offset just past the last `/`
     for m in re.finditer(r"\S+", text):
-        tok = m.group()
-        saw_any = True
+        tok, at = m.group(), m.start()
         if tok == "/":
-            close_component(m.start())
-            boundary_pos = m.end()
+            if not current and marker is None:
+                raise GaussSyntaxError(at, "empty component")
+            components.append(current)
+            current, marker, boundary = [], None, m.end()
             continue
-        current_tokens += 1
         if tok == "-":
-            if marker_pos is not None or current:
-                raise GaussSyntaxError(m.start(), "`-` must be the only token in its component")
-            marker_pos = m.start()
+            if marker is not None or current:
+                raise GaussSyntaxError(at, _ALONE)
+            marker = at
             continue
         tm = _TOKEN.match(tok)
         if tm is None:
-            raise GaussSyntaxError(m.start(), f"expected a passage like O1+ or `-`, got {tok!r}")
+            raise GaussSyntaxError(at, f"expected a passage like O1+ or `-`, got {tok!r}")
         cid = int(tm.group(2))
         if cid == 0:
-            raise GaussSyntaxError(m.start(), "crossing ids start at 1")
-        if marker_pos is not None:
-            raise GaussSyntaxError(marker_pos, "`-` must be the only token in its component")
+            raise GaussSyntaxError(at, "crossing ids start at 1")
+        if marker is not None:
+            raise GaussSyntaxError(marker, _ALONE)
         current.append(Passage(cid, tm.group(1) == "O", 1 if tm.group(3) == "+" else -1))
-
-    if not saw_any:
-        raise GaussSyntaxError(0, "empty code")
-    close_component(boundary_pos if not current and marker_pos is None else len(text))
+    if not current and marker is None:
+        raise GaussSyntaxError(boundary, "empty component" if components else "empty code")
+    components.append(current)
 
     uses: dict[int, list[Passage]] = {}
     for comp in components:
@@ -187,31 +173,20 @@ def build_constraints(d: LinkDiagram) -> SemiarcSystem:
     into semiarc j (component-local, then globally offset). A component
     with no passages contributes one semiarc and no constraints.
     """
-    in_arc: dict[tuple[int, bool], int] = {}
-    out_arc: dict[tuple[int, bool], int] = {}
-    sign_of: dict[int, int] = {}
+    arcs: dict[tuple[int, bool], tuple[int, int]] = {}  # (in, out) semiarcs
+    signs: dict[int, int] = {}
     base = 0
     for comp in d.components:
         k = len(comp)
-        if k == 0:
-            base += 1
-            continue
         for j, p in enumerate(comp):
-            in_arc[(p.crossing, p.over)] = base + (j - 1) % k
-            out_arc[(p.crossing, p.over)] = base + j
-            sign_of[p.crossing] = p.sign
-        base += k
+            arcs[p.crossing, p.over] = (base + (j - 1) % k, base + j)
+            signs[p.crossing] = p.sign
+        base += k or 1
     constraints = []
-    for cid in sorted(sign_of):
+    for cid in sorted(signs):
+        (under_in, under_out), (over_in, over_out) = arcs[cid, False], arcs[cid, True]
         constraints.append(
-            CrossingConstraint(
-                crossing=cid,
-                sign=sign_of[cid],
-                under_in=in_arc[(cid, False)],
-                over_in=in_arc[(cid, True)],
-                under_out=out_arc[(cid, False)],
-                over_out=out_arc[(cid, True)],
-            )
+            CrossingConstraint(cid, signs[cid], under_in, over_in, under_out, over_out)
         )
     return SemiarcSystem(semiarc_count=base, constraints=tuple(constraints))
 

@@ -199,23 +199,17 @@ def move_invariance_trials(
 
     rng = random.Random(seed)
     base_sb, base_ideal = both_polynomials(brace, d, jobs=jobs)
+    first_mismatch = mismatch_code = None
     for t in range(trials):
         moved = random_diagram_walk(d, rng, max_moves=max_moves)
-        moved_sb, moved_ideal = both_polynomials(brace, moved, jobs=jobs)
-        if moved_sb != base_sb or moved_ideal != base_ideal:
-            return MoveTrialResult(
-                trials=trials,
-                all_invariant=False,
-                base_sb=base_sb,
-                base_ideal=base_ideal,
-                first_mismatch=t,
-                mismatch_code=format_gauss_code(moved),
-            )
+        if both_polynomials(brace, moved, jobs=jobs) != (base_sb, base_ideal):
+            first_mismatch, mismatch_code = t, format_gauss_code(moved)
+            break
     return MoveTrialResult(
         trials=trials,
-        all_invariant=True,
+        all_invariant=first_mismatch is None,
         base_sb=base_sb,
         base_ideal=base_ideal,
-        first_mismatch=None,
-        mismatch_code=None,
+        first_mismatch=first_mismatch,
+        mismatch_code=mismatch_code,
     )

@@ -52,10 +52,6 @@ def _next_id(d: LinkDiagram) -> int:
     return (ids[-1] + 1) if ids else 1
 
 
-def _insert(comp: tuple[Passage, ...], p: int, added: list[Passage]) -> tuple[Passage, ...]:
-    return comp[:p] + tuple(added) + comp[p:]
-
-
 def apply_r1(
     d: LinkDiagram, location: tuple[int, int], sign: int = 1, over_first: bool = True
 ) -> LinkDiagram:
@@ -64,9 +60,9 @@ def apply_r1(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     cid = _next_id(d)
-    added = [Passage(cid, over_first, sign), Passage(cid, not over_first, sign)]
+    added = (Passage(cid, over_first, sign), Passage(cid, not over_first, sign))
     comps = list(d.components)
-    comps[c] = _insert(comps[c], p, added)
+    comps[c] = comps[c][:p] + added + comps[c][p:]
     return LinkDiagram(components=tuple(comps))
 
 
@@ -92,23 +88,14 @@ def apply_r2(
     a = _next_id(d)
     b = a + 1
     sa = 1 if positive_first else -1
-    first = [Passage(a, over_first, sa), Passage(b, over_first, -sa)]
-    if parallel:
-        second = [Passage(a, not over_first, sa), Passage(b, not over_first, -sa)]
-    else:
-        second = [Passage(b, not over_first, -sa), Passage(a, not over_first, sa)]
+    first = (Passage(a, over_first, sa), Passage(b, over_first, -sa))
+    second = (Passage(a, not over_first, sa), Passage(b, not over_first, -sa))
+    if not parallel:
+        second = second[::-1]
     comps = list(d.components)
-    if c1 == c2:
-        # apply the higher gap first so the lower index stays valid
-        if p1 < p2:
-            comps[c1] = _insert(comps[c1], p2, second)
-            comps[c1] = _insert(comps[c1], p1, first)
-        else:
-            comps[c1] = _insert(comps[c1], p1, first)
-            comps[c1] = _insert(comps[c1], p2, second)
-    else:
-        comps[c1] = _insert(comps[c1], p1, first)
-        comps[c2] = _insert(comps[c2], p2, second)
+    # the later gap first, so an earlier gap on the same component keeps its index
+    for (c, p), track in sorted((((c1, p1), first), ((c2, p2), second)), reverse=True):
+        comps[c] = comps[c][:p] + track + comps[c][p:]
     return LinkDiagram(components=tuple(comps))
 
 

@@ -179,8 +179,6 @@ class OperationTable(Record):
         shape = _shape(rows)
         if shape != (n, n) or kept is None or any(len(row) != n for row in kept):
             raise TableMalformed(f"expected a {n}x{n} table, got shape {shape}")
-        if n < 1:
-            raise TableMalformed("carrier size must be at least 1")
         for i, row in enumerate(kept):
             for j, v in enumerate(row):
                 if not 1 <= v <= n:
@@ -337,31 +335,22 @@ def is_involutive(brace: SkewBrace) -> bool:
 
 
 def parse_brace_file(text: str) -> SkewBrace:
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    body = [ln for ln in lines if not ln.lstrip().startswith("#")]
-    # strip leading blanks, keep internal structure
-    while body and not body[0].strip():
-        body.pop(0)
-    while body and not body[-1].strip():
-        body.pop()
-    if not body:
+    body = [ln.rstrip() for ln in text.splitlines() if not ln.lstrip().startswith("#")]
+    filled = [i for i, ln in enumerate(body) if ln]
+    if not filled:
         raise TableMalformed("empty brace file")
+    body = body[filled[0] : filled[-1] + 1]
     try:
-        n = int(body[0].strip())
+        n = int(body[0])
     except ValueError:
         raise TableMalformed(f"expected carrier size on the first line, got {body[0]!r}") from None
     if n < 1:
         raise TableMalformed("carrier size must be at least 1")
 
-    def read_rows(start: int, what: str) -> tuple[list[list[int]], int]:
+    def read_rows(start: int, what: str) -> list[list[int]]:
         rows = []
-        i = start
-        while len(rows) < n:
-            if i >= len(body):
-                raise TableMalformed(f"{what} table: expected {n} rows, found {len(rows)}")
-            line = body[i]
-            i += 1
-            if not line.strip():
+        for line in body[start : start + n]:
+            if not line:
                 raise TableMalformed(f"{what} table: blank line after {len(rows)} of {n} rows")
             try:
                 row = [int(tok) for tok in line.split()]
@@ -370,17 +359,17 @@ def parse_brace_file(text: str) -> SkewBrace:
             if len(row) != n:
                 raise TableMalformed(f"{what} table: row has {len(row)} entries, expected {n}")
             rows.append(row)
-        return rows, i
+        if len(rows) < n:
+            raise TableMalformed(f"{what} table: expected {n} rows, found {len(rows)}")
+        return rows
 
-    circ_rows, i = read_rows(1, "circ")
-    if i >= len(body) or body[i].strip():
+    circ = read_rows(1, "circ")
+    if body[n + 1 : n + 2] != [""]:
         raise TableMalformed("expected one blank line between the two tables")
-    star_rows, i = read_rows(i + 1, "star")
-    if any(ln.strip() for ln in body[i:]):
+    star = read_rows(n + 2, "star")
+    if len(body) > 2 * n + 2:
         raise TableMalformed("trailing content after the star table")
-    return validate_skew_brace(
-        OperationTable.from_rows(circ_rows), OperationTable.from_rows(star_rows)
-    )
+    return validate_skew_brace(OperationTable(n, circ), OperationTable(n, star))
 
 
 def format_brace_file(brace: SkewBrace) -> str:

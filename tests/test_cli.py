@@ -337,6 +337,19 @@ def test_check_moves(capsys):
     ]
 
 
+def test_check_moves_reports_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "skewbrace.moves.random_diagram_walk", lambda d, rng, max_moves: parse_gauss_code("- / -")
+    )
+    code, out, _ = run(capsys, "check-moves", NAB6, "-", "--trials", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "base sb: 2u^6v^6 + 2u^3v^3 + u^2v^2 + uv",
+        "base ideal: 3u^6 + 2u^3 + u",
+        "trials: 3, mismatch at trial 0: - / -",
+    ]
+
+
 def test_check_moves_rejects_negative_trials(capsys):
     code, out, err = run(capsys, "check-moves", Z4K, LINKS, "--name", "vhopf", "--trials", "-3")
     assert code == 2

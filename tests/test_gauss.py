@@ -86,6 +86,30 @@ def test_syntax_error_position():
     assert exc.value.position == 4
 
 
+ALONE = "`-` must be the only token in its component"
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("", 0, "empty code"),
+        ("   ", 0, "empty code"),
+        ("O1+ U1+ /", 9, "empty component"),
+        ("/ -", 0, "empty component"),
+        ("O1+ - U1+", 4, ALONE),
+        ("- O1+ U1+", 0, ALONE),
+        ("- -", 2, ALONE),
+        ("O1+ X2- U1+", 4, "expected a passage like O1+ or `-`, got 'X2-'"),
+        ("O0+ U0+", 0, "crossing ids start at 1"),
+    ],
+)
+def test_syntax_errors_name_their_offset(text, position, message):
+    with pytest.raises(GaussSyntaxError) as exc:
+        parse_gauss_code(text)
+    assert str(exc.value) == f"bad Gauss code at offset {position}: {message}"
+    assert exc.value.position == position
+
+
 def test_bad_marker_placement():
     with pytest.raises(GaussSyntaxError):
         parse_gauss_code("O1+ - U1+")

@@ -164,3 +164,14 @@ def test_move_trials_pass_and_are_seeded(braces, links):
     assert r1 == r2
     assert r1.base_sb == sb_polynomial(braces["nab6"], links["trefoil"])
     assert r1.first_mismatch is None and r1.mismatch_code is None
+
+
+def test_move_trials_report_the_first_mismatch(braces, monkeypatch):
+    # a walk that adds a component changes both polynomials
+    monkeypatch.setattr(
+        "skewbrace.moves.random_diagram_walk", lambda d, rng, max_moves: parse_gauss_code("- / -")
+    )
+    result = move_invariance_trials(braces["nab6"], parse_gauss_code("-"), trials=3, seed=0)
+    assert not result.all_invariant
+    assert result.first_mismatch == 0
+    assert result.mismatch_code == "- / -"

@@ -59,6 +59,20 @@ def test_r2_same_component():
         assert parse_gauss_code(format_gauss_code(poked)) == poked
 
 
+@pytest.mark.parametrize(
+    "locs, parallel, code",
+    [
+        (((0, 1), (0, 4)), True, "O1+ O4+ O5- U2+ O3+ U1+ U4+ U5- O2+ U3+"),
+        (((0, 1), (0, 4)), False, "O1+ O4+ O5- U2+ O3+ U1+ U5- U4+ O2+ U3+"),
+        (((0, 4), (0, 1)), True, "O1+ U4+ U5- U2+ O3+ U1+ O4+ O5- O2+ U3+"),
+        (((0, 4), (0, 1)), False, "O1+ U5- U4+ U2+ O3+ U1+ O4+ O5- O2+ U3+"),
+    ],
+)
+def test_r2_same_component_inserts_at_both_original_gaps(locs, parallel, code):
+    trefoil = parse_gauss_code("O1+ U2+ O3+ U1+ O2+ U3+")
+    assert format_gauss_code(apply_r2(trefoil, *locs, parallel=parallel)) == code
+
+
 def test_invalid_locations():
     with pytest.raises(InvalidLocation):
         apply_r1(UNKNOT, (1, 0))

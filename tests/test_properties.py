@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrace import (
     Biquandle,
+    GaussCodeError,
     OperationTable,
     biquandle_closure,
     counting_invariant,
@@ -15,11 +16,13 @@ from skewbrace import (
     ideal_closure,
     load_bundled_brace,
     bundled_links,
+    parse_brace_file,
     parse_gauss_code,
     verify_biquandle_axioms,
 )
 from skewbrace.coloring import derived_biquandle
 from skewbrace.moves import random_diagram_walk
+from skewbrace.tables import ValidationError
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 LINK_NAMES = ("unknot", "unlink2", "vhopf", "trefoil", "fig8")
@@ -127,3 +130,53 @@ def test_enumeration_is_sorted_and_duplicate_free_on_walks(name, link, seed):
     moved = random_diagram_walk(links[link], random.Random(seed), max_moves=2)
     cols = enumerate_colorings(brace, moved)
     assert cols == sorted(set(cols))
+
+
+def _edited(texts, split, alphabet):
+    """Piece lists of a text from `texts`, cut by `split`, after up to
+    three edits that each replace at most one piece with at most one
+    piece from `alphabet`."""
+
+    def edit(pieces_and_edits):
+        pieces, edits = pieces_and_edits
+        for i, width, new in edits:
+            pieces[i : i + width] = new
+        return pieces
+
+    step = st.tuples(st.integers(0, 12), st.integers(0, 1), st.lists(alphabet, max_size=1))
+    return st.tuples(st.sampled_from(texts).map(split), st.lists(step, max_size=3)).map(edit)
+
+
+@given(
+    tokens=_edited(
+        ("", "-", "O1+ U1+ / -", "O1+ U2+ O3+ U1+ O2+ U3+ / U4- O4-"),
+        str.split,
+        st.sampled_from(("/", "-", "O1+", "U1+", "U1-", "O2+", "O0+", "X1")),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_gauss_texts_parse_or_raise_a_gauss_code_error(tokens, data):
+    text = "".join(data.draw(st.text(" \t\n", max_size=2)) + tok for tok in tokens)
+    try:
+        d = parse_gauss_code(text)
+    except GaussCodeError:
+        return
+    assert parse_gauss_code(format_gauss_code(d)) == d
+
+
+@given(
+    _edited(
+        ("", "1\n1\n\n1", "2\n1 2\n2 1\n\n1 2\n2 1"),
+        str.splitlines,
+        st.sampled_from(
+            ("1", " 2", "0", "x", "1 2", "2 1", "1 1", "1 2 1", "1 a", "", " ", "# c")
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_brace_texts_parse_or_raise_a_validation_error(lines):
+    try:
+        parse_brace_file("\n".join(lines))
+    except ValidationError:
+        pass

@@ -165,21 +165,32 @@ def test_bundled_files_parse_with_comments():
         assert brace.n == EXPECTED_N[name]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "x\n1\n",
-        "2\n1 2\n2 1\n1 2\n2 1\n",  # missing blank separator
-        "2\n1 2\n2 1\n\n1 2\n",  # star table short
-        "2\n1 2\n2 1\n\n1 2\n2 1\n\nextra\n",  # trailing content
-        "2\n1 a\n2 1\n\n1 2\n2 1\n",  # non-integer entry
-        "2\n1 2 1\n2 1\n\n1 2\n2 1\n",  # wrong row width
-    ],
-)
+MALFORMED = {
+    "": "empty brace file",
+    "x\n1\n": "expected carrier size on the first line, got 'x'",
+    "0\n": "carrier size must be at least 1",
+    "-1\n": "carrier size must be at least 1",
+    # missing blank separator
+    "2\n1 2\n2 1\n1 2\n2 1\n": "expected one blank line between the two tables",
+    "2\n1 2\n2 1\n\n1 2\n": "star table: expected 2 rows, found 1",
+    "2\n1 2\n2 1\n\n1 2\n2 1\n\nextra\n": "trailing content after the star table",
+    "2\n1 a\n2 1\n\n1 2\n2 1\n": "circ table: non-integer entry in '1 a'",
+    "2\n1 2 1\n2 1\n\n1 2\n2 1\n": "circ table: row has 3 entries, expected 2",
+    "2\n1 2\n\n2 1\n\n1 2\n2 1\n": "circ table: blank line after 1 of 2 rows",
+    "2\n1 2\n2 1\n\n\n1 2\n2 1\n": "star table: blank line after 0 of 2 rows",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_malformed_brace_files(text):
-    with pytest.raises(TableMalformed):
+    with pytest.raises(TableMalformed) as exc:
         parse_brace_file(text)
+    assert str(exc.value) == MALFORMED[text]
+
+
+def test_blank_lines_around_a_brace_file_are_ignored():
+    brace = parse_brace_file("\n\n  \n2\n1 2\n2 1\n\n1 2\n2 1\n\n \n\n")
+    assert brace.circ.table.rows == brace.star.table.rows == ((1, 2), (2, 1))
 
 
 def test_operation_table_access():
@@ -203,6 +214,7 @@ def test_elements_outside_the_carrier_are_rejected(x):
         (2, np.ones((2, 2, 1), dtype=np.int64), "(2, 2, 1)"),
         (3, np.ones((2, 2), dtype=np.int64), "(2, 2)"),
         (0, [], "(0,)"),
+        (-1, [[1]], "(1, 1)"),  # no shape is (n, n) for n < 1
     ],
 )
 def test_wrong_shape_names_the_shape(n, entries, shape):
