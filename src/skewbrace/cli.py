@@ -115,36 +115,32 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    from .coloring import _coloring_columns
+    from .enumeration import sorted_columns
 
     brace = _load_brace(args.brace)
     _, diagram = _load_link(args.link, args.name)
-    cols = _coloring_columns(brace, diagram)
+    cols = sorted_columns(brace, diagram)
     n, s, m = brace.n, len(cols), len(cols[0])
-    # each color right-aligned in w places and padded with \0, which sorts
-    # below every digit, so the rows sort as bytes in numeric order
+    # each color right-aligned in w places and padded with \0, deleted on
+    # write: every line has one width, so each digit place of a column
+    # fills a chunk with one strided slice
     w = len(str(n))
     names = [str(x).rjust(w, "\0").encode() for x in range(n + 1)]
+    places = [bytes(name[p] for name in names).ljust(256, b"\0") for p in range(w)]
     size = s * (w + 1)
-    buf = bytearray(b" ") * (m * size)
-    buf[size - 1 :: size] = b"\n" * m
-    for p in range(w):
-        place = bytes(name[p] for name in names).ljust(256, b"\0")
-        for j, col in enumerate(cols):
-            digits = col.translate(place) if n < 256 else bytes(map(place.__getitem__, col))
-            buf[j * (w + 1) + p :: size] = digits
-    # free each buffer once the next exists: each holds every coloring
-    del cols
-    buf = bytes(buf)
-    rows = buf.splitlines(keepends=True)
-    del buf
-    rows.sort()
     write = sys.stdout.write
     write("# semiarc " + " ".join(str(i) for i in range(s)) + "\n")
-    # a chunk of lines at a time: one string of the whole output would be
-    # as large as the rows themselves
+    # a chunk of lines at a time, so no buffer holds the whole output
     for i in range(0, m, _COLOR_CHUNK):
-        write(b"".join(rows[i : i + _COLOR_CHUNK]).translate(None, b"\0").decode())
+        k = min(_COLOR_CHUNK, m - i)
+        buf = bytearray(b" ") * (k * size)
+        buf[size - 1 :: size] = b"\n" * k
+        for j, col in enumerate(cols):
+            part = col[i : i + k]
+            for p, place in enumerate(places):
+                digits = part.translate(place) if n < 256 else bytes(map(place.__getitem__, part))
+                buf[j * (w + 1) + p :: size] = digits
+        write(buf.translate(None, b"\0").decode())
     return 0
 
 

@@ -42,9 +42,9 @@ of blocks, the first chunk on top, which keeps the order. The count has
 no other bound. Enumeration and the polynomials run the count's search
 to the last filter row and raise `SearchTooLarge` there once the
 colorings the partial colorings left complete to would pass the same
-bound. `_coloring_columns` then expands each through the digit rows
-after that row, and `_color_set_counts` folds them into counts per
-used-color set without making the colorings.
+bound. `enumeration.sorted_columns` then sorts them and fills in the
+semiarcs of the digit rows after that row, and `_color_set_counts` folds
+them into counts per used-color set without making the colorings.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -114,6 +114,11 @@ def _lookup(rows: Sequence[Sequence[int]]) -> Table:
 
 def _repeat(col: Column, n: int) -> Column:
     """A new column with each entry of `col` repeated n times in a row."""
+    if len(col) < n:
+        out = col[:0]
+        for i in range(len(col)):
+            out += col[i : i + 1] * n
+        return out
     out = col * n
     for k in range(n):
         out[k::n] = col
@@ -267,11 +272,8 @@ def _too_large(n: int, s: int) -> SearchTooLarge:
     return SearchTooLarge(f"{what} of {_FRONTIER_CELLS} cells")
 
 
-def _frontiers(
-    cp: CompiledPlan, stop: int, start: tuple[int, int, list[Column | None]] | None = None
-) -> Iterator[Block]:
-    """Run plan rows [0, stop) breadth first, or rows [first, stop) on the
-    block `start` = (first, m, columns); yield the surviving partial
+def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[Block]:
+    """Run plan rows [0, stop) breadth first; yield the surviving partial
     colorings as blocks (m, columns) in digit order, with None for a
     semiarc no row has assigned yet."""
     n, s = cp.n, cp.semiarc_count
@@ -280,7 +282,7 @@ def _frontiers(
     digits = column(range(1, n + 1))
     step = _FRONTIER_CELLS // (n * s)
     # the blocks still to run, as (first row, m, columns), the next on top
-    stack = [start or (0, 1, [None] * s)]
+    stack: list[tuple[int, int, list[Column | None]]] = [(0, 1, [None] * s)]
     while stack:
         first, m, cols = stack.pop()
         for r in range(first, stop):
@@ -348,20 +350,6 @@ def _survivors(cp: CompiledPlan, stop: int, free: int) -> Iterator[Block]:
         yield m, cols
 
 
-def _coloring_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
-    """All colorings as one column of colors per semiarc, in the frontier's
-    order: the count's partial colorings expanded through the digit rows
-    left. Raises the budget errors of `_survivors`."""
-    cp = _compiled_for(brace, d)
-    stop, free = _count_split(cp)
-    out = [_column_type(cp.n)() for _ in range(cp.semiarc_count)]
-    for m, cols in _survivors(cp, stop, free):
-        for _, whole in _frontiers(cp, len(cp.plan), (stop, m, cols)):
-            for j, c in enumerate(whole):
-                out[j] += c
-    return out
-
-
 def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
     """How many colorings use each set of colors, keyed by the set as a
     bitmask (bit x - 1 for color x), without making the colorings.
@@ -398,4 +386,6 @@ def enumerate_colorings(
     `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
     no effect.
     """
-    return sorted(zip(*_coloring_columns(brace, d)))
+    from .enumeration import sorted_columns
+
+    return list(zip(*sorted_columns(brace, d)))

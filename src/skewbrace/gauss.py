@@ -128,7 +128,12 @@ def parse_gauss_code(text: str) -> LinkDiagram:
         tm = _TOKEN.match(tok)
         if tm is None:
             raise GaussSyntaxError(at, f"expected a passage like O1+ or `-`, got {tok!r}")
-        cid = int(tm.group(2))
+        try:
+            cid = int(tm.group(2))
+        except ValueError:
+            # past the interpreter's limit on digits in an int
+            what = f"crossing id of {len(tm.group(2))} digits is too long"
+            raise GaussSyntaxError(at, what) from None
         if cid == 0:
             raise GaussSyntaxError(at, "crossing ids start at 1")
         if marker is not None:

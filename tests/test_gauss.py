@@ -110,6 +110,16 @@ def test_syntax_errors_name_their_offset(text, position, message):
     assert exc.value.position == position
 
 
+def test_overlong_crossing_id_is_a_syntax_error():
+    """An id past the interpreter's limit on digits in an int (4,300 by
+    default) is a syntax error at its token, not a plain ValueError."""
+    long_id = "1" * 5000
+    with pytest.raises(GaussSyntaxError) as exc:
+        parse_gauss_code(f"O1+ U1+ / O{long_id}+ U{long_id}+")
+    assert exc.value.position == 10
+    assert str(exc.value) == "bad Gauss code at offset 10: crossing id of 5000 digits is too long"
+
+
 def test_bad_marker_placement():
     with pytest.raises(GaussSyntaxError):
         parse_gauss_code("O1+ - U1+")

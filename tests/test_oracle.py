@@ -24,11 +24,16 @@ from skewbrace import (
     counting_invariant,
     derived_biquandle,
     enumerate_colorings,
+    format_brace_file,
     is_ideal,
     load_bundled_brace,
     parse_gauss_code,
 )
-from skewbrace import coloring, invariants
+from skewbrace import coloring, enumeration, invariants
+from skewbrace.bundled import bundled_brace_path
+from skewbrace.cli import main
+
+from conftest import trivial_cyclic_brace
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 ORACLE_SPACE = 10**6
@@ -223,7 +228,7 @@ def test_polynomials_raise_the_enumeration_budget_errors(monkeypatch):
         cells = counting_invariant(brace, d) * s
         for budget in {b for b in (n * s - 1, max(n * s, cells - 1), cells // n) if b < cells}:
             monkeypatch.setattr(coloring, "_FRONTIER_CELLS", budget)
-            want = budget_error(coloring._coloring_columns, brace, d)
+            want = budget_error(enumerate_colorings, brace, d)
             assert budget_error(both_polynomials, brace, d) == want
             messages[want.split()[0]] += 1
         monkeypatch.undo()
@@ -302,15 +307,57 @@ def test_a_chunk_chain_past_the_recursion_limit(monkeypatch):
     assert frontier_rows(cp) == [[1] * (k + 1), [1] * k + [2], [3] * (k + 1)]
 
 
-def test_coloring_columns_keep_the_frontier_order():
+def padded_code(rng: random.Random, crossings: int, pads: int) -> str:
+    """A random code with `pads` more `-` components shuffled among its
+    own, so free semiarcs fall before, between and after the bound ones."""
+    comps = random_code(rng, crossings, rng.randint(1, 2)).split(" / ") + ["-"] * pads
+    rng.shuffle(comps)
+    return " / ".join(comps)
+
+
+def test_sorted_columns_sort_the_frontier(monkeypatch):
+    """The colorings `color` prints are the whole plan's partial colorings
+    sorted, also when the search runs two partial colorings per chunk."""
     rng = random.Random(16)
+    chunked = 0
     for _ in range(100):
         brace = braces[rng.choice(BRACE_NAMES)]
-        code = random_code(rng, rng.randint(0, 4), rng.randint(1, 3)) + " / -" * rng.randint(0, 3)
-        d = parse_gauss_code(code)
+        d = parse_gauss_code(padded_code(rng, rng.randint(1, 6), rng.randint(0, 2)))
         cp = coloring._compiled_for(brace, d)
-        rows = [list(row) for row in zip(*coloring._coloring_columns(brace, d))]
-        assert rows == frontier_rows(cp)
+        whole = sorted(frontier_rows(cp))
+        assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
+        budget = max(2 * brace.n * cp.semiarc_count, len(whole) * cp.semiarc_count)
+        monkeypatch.setattr(coloring, "_FRONTIER_CELLS", budget)
+        chunked += len(list(coloring._frontiers(cp, coloring._count_split(cp)[0]))) > 1
+        assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
+        monkeypatch.undo()
+    assert chunked >= 20
+
+
+def test_color_prints_the_brute_force_colorings(tmp_path, capsys):
+    """`color` prints the oracle's colorings, in its order, on every bundled
+    brace and on Z_12, whose colors take two digits."""
+    z12 = trivial_cyclic_brace(12)
+    path = tmp_path / "z12.txt"
+    path.write_text(format_brace_file(z12))
+    cases = [(brace, bundled_brace_path(name)) for name, brace in braces.items()]
+    cases.append((z12, str(path)))
+    rng = random.Random(18)
+    checked = 0
+    for _ in range(12):
+        code = padded_code(rng, rng.randint(1, 3), rng.randint(1, 3))
+        d = parse_gauss_code(code)
+        s = build_constraints(d).semiarc_count
+        header = "# semiarc " + " ".join(map(str, range(s)))
+        for brace, path in cases:
+            if brace.n**s > ORACLE_SPACE:
+                continue
+            rows = brute_force_colorings(brace, d)
+            want = "".join(line + "\n" for line in [header, *(" ".join(map(str, r)) for r in rows)])
+            assert main(["color", path, code]) == 0
+            assert capsys.readouterr().out == want
+            checked += 1
+    assert checked >= 50
 
 
 def test_budget_errors_read_the_same(monkeypatch):

@@ -50,7 +50,7 @@ POLYNOMIALS = COLORING | {"closures", "invariants"}
         (["validate", NAB6], {"tables"}),
         (["biquandle", NAB6], {"tables", "biquandle"}),
         (["ideals", NAB6], {"tables", "closures"}),
-        (["color", NAB6, "O1+ / U1+"], COLORING),
+        (["color", NAB6, "O1+ / U1+"], COLORING | {"enumeration"}),
         (["invariant", NAB6, "O1+ / U1+"], COLORING),
         (["invariant", NAB6, "O1+ / U1+", "--json"], COLORING),
         (["invariant", NAB6, "O1+ / U1+", "--type", "sb"], POLYNOMIALS),
