@@ -46,7 +46,7 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
         rows += map(bytes, zip(*planes)) if planes else [b""] * m
     rows.sort()
     m, size, raw = len(rows), w * len(bound), b"".join(rows)
-    known = {}
+    known: dict[int, Column] = {}
     for i, j in enumerate(bound):
         planes = [raw[w * i + q :: size] for q in range(w)]
         known[j] = column(planes[0] if w == 1 else map(_be16, *planes))
@@ -77,7 +77,8 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
                         c += more
                 cols += tail
             if t:
-                # loose[t - 1] takes each color once over the whole block
+                # loose[t - 1] takes each color on one stretch of the block,
+                # over which the columns after it run through once
                 cols = [_repeat(digits, (hi - lo) * reps), *(c * n for c in cols)]
             level.append((hi, cols))
             lo = hi
@@ -86,4 +87,5 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
 
 
 def _be16(hi: int, lo: int) -> int:
+    """A 16-bit color from its big-endian bytes."""
     return hi << 8 | lo
