@@ -7,18 +7,28 @@ frontier budget) with the witness printed, 2 usage or IO error.
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables` is imported at the top, since every command reads a brace.
 No command imports numpy.
+
+One table, `_COMMANDS`, describes every command, its positionals and its
+options. `_parse` reads from it the plain command lines every documented
+use writes, without argparse, whose import and parser cost a cold
+process about 15 ms and 0.6 MB of peak RSS. Any other line (`-h`, a
+usage error, an abbreviated option, `--opt=value`, `--`) goes to the
+argparse parser `_build_parser` builds from the same table, so argparse
+alone writes help, usage and error texts.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .tables import DomainError, SkewBrace, is_involutive, is_star_commutative, parse_brace_file
 
 if TYPE_CHECKING:
+    import argparse
+
     from .gauss import LinkDiagram
 
 __all__ = ["main"]
@@ -26,7 +36,7 @@ __all__ = ["main"]
 
 _JOBS_HELP = "accepted for compatibility; has no effect"
 # colorings formatted per write by `color`
-_COLOR_CHUNK = 4096
+_COLOR_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -49,7 +59,9 @@ def _trial_count(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
 
 
@@ -198,64 +210,122 @@ def _cmd_batch(args) -> int:
     return 0
 
 
+# option -> (default, kind, help): kind is `bool` for a flag that takes no
+# value, a tuple of choices, or the converter argparse also uses as `type`
+_LINK_OPTIONS = {
+    "--name": (None, str, "link name when the link argument is a file"),
+    "--jobs": (None, int, _JOBS_HELP),
+}
+_BRACE = ("brace", None)
+_LINK = ("link", "link file or inline Gauss code")
+# command -> (help, positionals as (dest, help), options); its function is
+# `_cmd_<command>`, with `_` for `-`
+_COMMANDS = {
+    "validate": ("validate a brace structure-table file", [_BRACE], {}),
+    "biquandle": ("print the derived under/over tables", [_BRACE], {}),
+    "ideals": ("list all ideals of a brace", [_BRACE], {}),
+    "color": ("enumerate all colorings of a link", [_BRACE, _LINK], _LINK_OPTIONS),
+    "invariant": (
+        "compute an invariant of a link",
+        [_BRACE, _LINK],
+        {
+            **_LINK_OPTIONS,
+            "--type": ("count", ("count", "sb", "ideal"), None),
+            "--json": (False, bool, None),
+        },
+    ),
+    "check-moves": (
+        "test invariance under random moves",
+        [_BRACE, _LINK],
+        {**_LINK_OPTIONS, "--trials": (100, _trial_count, None), "--seed": (0, int, None)},
+    ),
+    "batch": (
+        "all invariants for every link in a file",
+        [_BRACE, ("linkfile", None)],
+        {"--jobs": _LINK_OPTIONS["--jobs"]},
+    ),
+}
+
+
+def _function(command: str):
+    # looked up when a command line is parsed, so a patched one runs
+    return globals()["_cmd_" + command.replace("-", "_")]
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for a plain command line, or None for
+    any other: the command's exact name, then its positionals and its
+    options by their exact names, each value option followed by a value
+    that does not start with `-` and that its converter or choices accept.
+    Like argparse, an item starting with `-` is a positional only if it is
+    `-` or starts with `- `, and a repeated option keeps its last value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positionals, options = _COMMANDS[argv[0]]
+    args = {flag[2:]: default for flag, (default, _, _) in options.items()}
+    values = []
+    items = iter(argv[1:])
+    for item in items:
+        if item in options:
+            kind = options[item][1]
+            value = True
+            if kind is not bool:
+                value = next(items, "-")  # a missing value fails as an option
+                if value.startswith("-"):
+                    return None
+                if isinstance(kind, tuple):
+                    if value not in kind:
+                        return None
+                else:
+                    try:
+                        value = kind(value)
+                    except Exception:  # argparse converts it again and reports it
+                        return None
+            args[item[2:]] = value
+        elif not item.startswith("-") or item == "-" or item.startswith("- "):
+            values.append(item)
+        else:
+            return None
+    if len(values) != len(positionals):
+        return None
+    args.update(zip([dest for dest, _ in positionals], values))
+    return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the same commands: it parses what `_parse`
+    does not and writes every help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="Skew brace validation and coloring invariants of knots and links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a brace structure-table file")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("biquandle", help="print the derived under/over tables")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_biquandle)
-
-    p = sub.add_parser("ideals", help="list all ideals of a brace")
-    p.add_argument("brace")
-    p.set_defaults(func=_cmd_ideals)
-
-    def add_link_opts(p):
-        p.add_argument("link", help="link file or inline Gauss code")
-        p.add_argument("--name", help="link name when the link argument is a file")
-        p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-
-    p = sub.add_parser("color", help="enumerate all colorings of a link")
-    p.add_argument("brace")
-    add_link_opts(p)
-    p.set_defaults(func=_cmd_color)
-
-    p = sub.add_parser("invariant", help="compute an invariant of a link")
-    p.add_argument("brace")
-    add_link_opts(p)
-    p.add_argument("--type", choices=("count", "sb", "ideal"), default="count")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser("check-moves", help="test invariance under random moves")
-    p.add_argument("brace")
-    add_link_opts(p)
-    p.add_argument("--trials", type=_trial_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_check_moves)
-
-    p = sub.add_parser("batch", help="all invariants for every link in a file")
-    p.add_argument("brace")
-    p.add_argument("linkfile")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
-    p.set_defaults(func=_cmd_batch)
-
+    for command, (text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for dest, help_text in positionals:
+            p.add_argument(dest, help=help_text)
+        for flag, (default, kind, help_text) in options.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=help_text)
+        p.set_defaults(func=_function(command))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (_UsageError, OSError) as exc:

@@ -16,6 +16,7 @@ class with it cost a CLI job more than the work of a small diagram.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Sequence
 from operator import itemgetter
 
@@ -334,6 +335,14 @@ def is_involutive(brace: SkewBrace) -> bool:
 # one blank line, n rows for the star table
 
 
+def _digits_past_limit(text: str) -> int:
+    """The digit count of `text`'s longest token, if it passes the
+    interpreter's limit on digits in an int (so `int()` refused it for its
+    length), else 0."""
+    digits = max(sum(c.isdecimal() for c in tok) for tok in text.split())
+    return digits if 0 < sys.get_int_max_str_digits() < digits else 0
+
+
 def parse_brace_file(text: str) -> SkewBrace:
     body = [ln.rstrip() for ln in text.splitlines() if not ln.lstrip().startswith("#")]
     filled = [i for i, ln in enumerate(body) if ln]
@@ -343,6 +352,8 @@ def parse_brace_file(text: str) -> SkewBrace:
     try:
         n = int(body[0])
     except ValueError:
+        if digits := _digits_past_limit(body[0]):
+            raise TableMalformed(f"carrier size of {digits} digits is too long") from None
         raise TableMalformed(f"expected carrier size on the first line, got {body[0]!r}") from None
     if n < 1:
         raise TableMalformed("carrier size must be at least 1")
@@ -355,6 +366,8 @@ def parse_brace_file(text: str) -> SkewBrace:
             try:
                 row = [int(tok) for tok in line.split()]
             except ValueError:
+                if digits := _digits_past_limit(line):
+                    raise TableMalformed(f"{what} table: entry of {digits} digits is too long") from None
                 raise TableMalformed(f"{what} table: non-integer entry in {line!r}") from None
             if len(row) != n:
                 raise TableMalformed(f"{what} table: row has {len(row)} entries, expected {n}")

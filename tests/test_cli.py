@@ -10,9 +10,11 @@ from importlib.metadata import PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skewbrace import build_constraints, enumerate_colorings, format_brace_file, parse_gauss_code
 from skewbrace.bundled import bundled_brace_path, bundled_links_path
+from skewbrace import cli
 from skewbrace.cli import main
 
 from conftest import trivial_cyclic_brace
@@ -282,10 +284,11 @@ CODE_ERROR = "crossing 1 must appear exactly once over and once under"
             1,
             "error: bad Gauss code at offset 0: crossing id of 5000 digits is too long\n",
         ),
+        (("validate", "LONGENTRY"), 1, "error: circ table: entry of 5000 digits is too long\n"),
     ],
     ids=[
         "validate", "biquandle", "ideals", "color", "invariant", "check-moves", "batch",
-        "color-budget", "color-not-utf8", "long-crossing-id",
+        "color-budget", "color-not-utf8", "long-crossing-id", "long-table-entry",
     ],
 )
 def test_errors_in_a_fresh_process(argv, code, err, tmp_path):
@@ -295,6 +298,7 @@ def test_errors_in_a_fresh_process(argv, code, err, tmp_path):
         "TABLE": ("bad.txt", b"2\n1 2\n2 2\n\n1 2\n2 1\n"),
         "LINKFILE": ("links.txt", b"x := O1+ U2+\n"),
         "NOTUTF8": ("link.txt", b"\xff\xfe"),
+        "LONGENTRY": ("long.txt", b"1\n" + b"1" * 5000 + b"\n\n1\n"),
     }
     paths = {}
     for key, (name, data) in files.items():
@@ -385,6 +389,157 @@ def test_check_moves_accepts_zero_trials(capsys):
     code, out, _ = run(capsys, "check-moves", Z4K, LINKS, "--name", "vhopf", "--trials", "0")
     assert code == 0
     assert out.splitlines()[-1] == "trials: 0, all invariant: yes"
+
+
+TOP_HELP = """\
+usage: skewbrace [-h]
+                 {validate,biquandle,ideals,color,invariant,check-moves,batch}
+                 ...
+
+Skew brace validation and coloring invariants of knots and links
+
+positional arguments:
+  {validate,biquandle,ideals,color,invariant,check-moves,batch}
+    validate            validate a brace structure-table file
+    biquandle           print the derived under/over tables
+    ideals              list all ideals of a brace
+    color               enumerate all colorings of a link
+    invariant           compute an invariant of a link
+    check-moves         test invariance under random moves
+    batch               all invariants for every link in a file
+
+options:
+  -h, --help            show this help message and exit
+"""
+INVARIANT_USAGE = """\
+usage: skewbrace invariant [-h] [--name NAME] [--jobs JOBS]
+                           [--type {count,sb,ideal}] [--json]
+                           brace link
+"""
+INVARIANT_HELP = INVARIANT_USAGE + """
+positional arguments:
+  brace
+  link                  link file or inline Gauss code
+
+options:
+  -h, --help            show this help message and exit
+  --name NAME           link name when the link argument is a file
+  --jobs JOBS           accepted for compatibility; has no effect
+  --type {count,sb,ideal}
+  --json
+"""
+TOP_USAGE = """\
+usage: skewbrace [-h]
+                 {validate,biquandle,ideals,color,invariant,check-moves,batch}
+                 ...
+"""
+CHECK_MOVES_USAGE = """\
+usage: skewbrace check-moves [-h] [--name NAME] [--jobs JOBS]
+                             [--trials TRIALS] [--seed SEED]
+                             brace link
+"""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="texts as CPython 3.11's argparse writes them")
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("-h",), 0, TOP_HELP, ""),
+        (("invariant", "-h"), 0, INVARIANT_HELP, ""),
+        (
+            ("invariant", NAB6, "-", "--type", "nope"),
+            2,
+            "",
+            INVARIANT_USAGE + "skewbrace invariant: error: argument --type: invalid choice:"
+            " 'nope' (choose from 'count', 'sb', 'ideal')\n",
+        ),
+        (
+            ("invariant", NAB6),
+            2,
+            "",
+            INVARIANT_USAGE
+            + "skewbrace invariant: error: the following arguments are required: link\n",
+        ),
+        (
+            ("invariant", NAB6, "-", "--bogus"),
+            2,
+            "",
+            TOP_USAGE + "skewbrace: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ("check-moves", NAB6, "-", "--seed", "x"),
+            2,
+            "",
+            CHECK_MOVES_USAGE
+            + "skewbrace check-moves: error: argument --seed: invalid int value: 'x'\n",
+        ),
+    ],
+    ids=["help", "invariant-help", "bad-type", "missing-link", "unknown-option", "bad-seed"],
+)
+def test_help_and_usage_texts(argv, code, out, err):
+    """argparse writes every help, usage and error text, as it always has."""
+    got = run_process(*argv, COLUMNS="80")
+    assert (got.returncode, got.stdout, got.stderr) == (code, out, err)
+
+
+def test_unusual_option_forms_still_parse(capsys):
+    """An abbreviated option or an `=` value is parsed by argparse."""
+    base = ("check-moves", Z4K, LINKS, "--name", "vhopf", "--seed", "3")
+    plain = run(capsys, *base, "--trials", "5")
+    assert plain[0] == 0
+    assert run(capsys, *base, "--tri", "5") == plain
+    assert run(capsys, "invariant", NAB6, "O1+ / U1+", "--type=sb") == run(
+        capsys, "invariant", NAB6, "O1+ / U1+", "--type", "sb"
+    )
+
+
+COMMAND_NAMES = ["validate", "biquandle", "ideals", "color", "invariant", "check-moves", "batch", "nope"]
+OPTION_FORMS = [
+    "--name", "--jobs", "--type", "--json", "--trials", "--seed",
+    "--na", "--jo", "--ty", "--js", "--tri", "--se", "--j",
+    "--name=x", "--jobs=2", "--type=sb", "--json=1", "--trials=3", "--seed=2",
+]
+VALUES = ["3", "0", "-3", "x", " 4", "1_0", "", "count", "sb", "ideal", "nope"]
+ODD = ["-", "- / -", "-3", "-h x", "--", "-h", "a", "b", "O1+ U1+"]
+
+
+def _flat(draw):
+    command, chunks = draw
+    return [command, *(item for chunk in chunks for item in chunk)]
+
+
+ARGVS = st.tuples(
+    st.sampled_from(COMMAND_NAMES),
+    st.lists(
+        st.one_of(
+            st.sampled_from(OPTION_FORMS + VALUES + ODD).map(lambda item: [item]),
+            st.lists(st.sampled_from(VALUES + ODD), min_size=1, max_size=2),
+            st.tuples(st.sampled_from(OPTION_FORMS), st.sampled_from(VALUES + ODD)).map(list),
+        ),
+        max_size=5,
+    ),
+).map(_flat)
+
+
+@given(argv=ARGVS)
+@example(argv=["check-moves", "a", "- / -", "--seed", "4", "--trials", "3", "--seed", "0"])
+@example(argv=["invariant", "-", "b", "--type", "sb", "--json", "--type", "ideal"])
+@settings(max_examples=400, deadline=None)
+def test_plain_command_lines_parse_as_argparse_does(argv):
+    """Every command line `_parse` accepts, argparse accepts with the same
+    attributes; the command function is compared by name."""
+    fast = cli._parse(argv)
+    if fast is None:
+        return
+    try:
+        slow = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}, which _parse accepts")
+
+    def named(ns):
+        return {**vars(ns), "func": ns.func.__name__}
+
+    assert named(fast) == named(slow)
 
 
 @pytest.mark.parametrize(

@@ -64,17 +64,20 @@ POLYNOMIALS = COLORING | {"closures", "invariants"}
     ],
 )
 def test_command_loads_only_its_modules(argv, modules):
-    code, loaded, has_json = python(
+    """A plain command line never loads argparse: `-h`, usage errors and
+    unusual option forms are the only lines that do."""
+    code, loaded, has_json, has_argparse = python(
         "import sys\n"
         "from skewbrace.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print((code, sorted(m for m in sys.modules if m.startswith('skewbrace.')),"
-        " 'json' in sys.modules))",
+        " 'json' in sys.modules, ('argparse' in sys.modules, 'gettext' in sys.modules)))",
         *argv,
     )
     assert code == 0
     assert loaded == sorted(f"skewbrace.{m}" for m in modules | {"cli"})
     assert has_json == ("--json" in argv)
+    assert has_argparse == (False, False)
 
 
 def test_every_export_resolves_and_is_listed():

@@ -178,10 +178,16 @@ MALFORMED = {
     "2\n1 2 1\n2 1\n\n1 2\n2 1\n": "circ table: row has 3 entries, expected 2",
     "2\n1 2\n\n2 1\n\n1 2\n2 1\n": "circ table: blank line after 1 of 2 rows",
     "2\n1 2\n2 1\n\n\n1 2\n2 1\n": "star table: blank line after 0 of 2 rows",
+    # past the interpreter's limit on digits in an int
+    "1\n" + "1" * 5000 + "\n\n1\n": "circ table: entry of 5000 digits is too long",
+    "1" * 5000 + "\n1\n\n1\n": "carrier size of 5000 digits is too long",
 }
 
 
-@pytest.mark.parametrize("text", list(MALFORMED))
+@pytest.mark.parametrize(
+    # the overlong cases are named by their message, not by 5,000 digits
+    "text", [t if len(t) < 100 else pytest.param(t, id=MALFORMED[t]) for t in MALFORMED]
+)
 def test_malformed_brace_files(text):
     with pytest.raises(TableMalformed) as exc:
         parse_brace_file(text)
