@@ -8,10 +8,11 @@ so the carrier size has no limit.
 Each closure is a fixpoint over one table built once per structure from
 its operation tables and cached: `pair[x][y]` holds the bits that members
 x and y force into the subset, and the mask takes in `pair[x][y]` for all
-of its members x, y until it stops changing; each round looks only at the
-pairs that hold a member added by the round before. Termination follows
-from finiteness. A group closure needs less: it is every product of the
-generators, so each round multiplies only its new members by them.
+of its members x, y until it stops changing or holds the whole carrier;
+each round looks only at the pairs that hold a member added by the round
+before. Termination follows from finiteness. A group closure needs less:
+it is every product of the generators, so each round multiplies only its
+new members by them.
 
 The ideals are enumerated over the same masks, by joining ideal closures
 of singletons; `is_ideal` checks the conditions directly and is the
@@ -77,7 +78,9 @@ def _from_mask(m: int) -> Subset:
 
 def _fixpoint(pair: Pairs, m: int) -> int:
     # semi-naive: the members in `done` were paired with each other in an
-    # earlier round
+    # earlier round; a mask that holds the whole carrier can grow no
+    # further, so it is returned at once
+    full = (1 << len(pair)) - 1
     done = 0
     while m != done:
         xs = _members(m)
@@ -86,6 +89,8 @@ def _fixpoint(pair: Pairs, m: int) -> int:
             row = pair[x]
             for y in xs:
                 new |= row[y] | pair[y][x]
+            if new == full:
+                return new
         done, m = m, new
     return m
 

@@ -198,7 +198,6 @@ class CompiledPlan(Record):
     __slots__ = ("plan", "tbl", "n", "semiarc_count")
 
 
-@lru_cache(maxsize=512)
 def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
     known = [False] * system.semiarc_count
     rows: list[tuple[int, ...]] = []
@@ -258,6 +257,9 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
 
 
 def _compiled_for(brace: SkewBrace, d: LinkDiagram) -> CompiledPlan:
+    """A fresh plan for d. No cache is keyed by a diagram, so a loop over
+    many diagrams holds one plan at a time; the caches the compile reads
+    are keyed by the brace and bounded by it."""
     bq = derived_biquandle(brace)
     return _compile(bq, build_constraints(d))
 

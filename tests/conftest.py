@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from skewbrace import (
@@ -19,6 +21,22 @@ def trivial_cyclic_brace(n):
     k + 1 stands for k."""
     add = OperationTable.from_rows([[(x + y) % n + 1 for y in range(n)] for x in range(n)])
     return validate_skew_brace(add, add)
+
+
+def random_code(rng: random.Random, crossings: int, components: int) -> str:
+    """A random signed Gauss code: every crossing once over and once under
+    with one random sign, shuffled and cut into `components` components.
+    A component left without crossings is written `-`.
+
+    Every such code is a virtual link diagram (Kauffman 1999)."""
+    tokens = []
+    for cid in range(1, crossings + 1):
+        sign = rng.choice("+-")
+        tokens += [f"O{cid}{sign}", f"U{cid}{sign}"]
+    rng.shuffle(tokens)
+    cuts = sorted(rng.randint(0, len(tokens)) for _ in range(components - 1))
+    bounds = [0, *cuts, len(tokens)]
+    return " / ".join(" ".join(tokens[a:b]) or "-" for a, b in zip(bounds, bounds[1:]))
 
 
 @pytest.fixture(scope="session")

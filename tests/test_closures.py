@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -142,11 +143,31 @@ def test_enumerate_ideals_matches_powerset_filter(braces):
 
 @pytest.mark.parametrize("n", [18, 24])
 def test_trivial_cyclic_ideals_are_the_subgroups(n):
-    # the ideals are the subgroups dZ_n
+    # the ideals are the subgroups dZ_n, so a subset closes to the multiples
+    # of the gcd of n and its members, the whole carrier when that is 1
     brace = trivial_cyclic_brace(n)
     want = [frozenset(range(1, n + 1, d)) for d in range(n, 0, -1) if n % d == 0]
     assert enumerate_ideals(brace) == want
     assert all(is_ideal(brace, t) for t in want)
+    rng = random.Random(n)
+    for _ in range(200):
+        s = rng.sample(range(1, n + 1), rng.randint(1, 4))
+        d = math.gcd(n, *(x - 1 for x in s))
+        assert ideal_closure(brace, s) == frozenset(range(1, n + 1, d))
+
+
+def test_fixpoint_stops_at_the_whole_carrier():
+    """A mask that holds every element can grow no further, so no pair is
+    read after the one that completes it."""
+
+    class Unread:
+        def __getitem__(self, y):
+            raise AssertionError("a pair was read after the mask was full")
+
+    n = 5
+    full = (1 << n) - 1
+    pair = [[full] * n] + [Unread()] * (n - 1)
+    assert _fixpoint(pair, 1) == full
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -33,28 +33,12 @@ from skewbrace import coloring, enumeration, invariants
 from skewbrace.bundled import bundled_brace_path
 from skewbrace.cli import main
 
-from conftest import trivial_cyclic_brace
+from conftest import random_code, trivial_cyclic_brace
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 ORACLE_SPACE = 10**6
 
 braces = {name: load_bundled_brace(name) for name in BRACE_NAMES}
-
-
-def random_code(rng: random.Random, crossings: int, components: int) -> str:
-    """A random signed Gauss code: every crossing once over and once under
-    with one random sign, shuffled and cut into `components` components.
-    A component left without crossings is written `-`.
-
-    Every such code is a virtual link diagram (Kauffman 1999)."""
-    tokens = []
-    for cid in range(1, crossings + 1):
-        sign = rng.choice("+-")
-        tokens += [f"O{cid}{sign}", f"U{cid}{sign}"]
-    rng.shuffle(tokens)
-    cuts = sorted(rng.randint(0, len(tokens)) for _ in range(components - 1))
-    bounds = [0, *cuts, len(tokens)]
-    return " / ".join(" ".join(tokens[a:b]) or "-" for a, b in zip(bounds, bounds[1:]))
 
 
 def has_pair_rows(brace, d) -> bool:
