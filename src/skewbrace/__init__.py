@@ -28,22 +28,22 @@ _EXPORTS = {
     "NoInverse": "tables",
     "DistributiveLawFails": "tables",
     "IdentityMismatch": "tables",
-    "validate_group": "tables",
-    "validate_skew_brace": "tables",
-    "is_star_commutative": "tables",
-    "parse_brace_file": "tables",
-    "format_brace_file": "tables",
-    "load_brace_file": "tables",
+    "validate_group": "axioms",
+    "validate_skew_brace": "axioms",
+    "is_star_commutative": "axioms",
+    "parse_brace_file": "bracefile",
+    "format_brace_file": "bracefile",
+    "load_brace_file": "bracefile",
     "Biquandle": "biquandle",
     "AxiomReport": "biquandle",
     "AxiomViolation": "biquandle",
     "derive_biquandle": "biquandle",
-    "derived_biquandle": "coloring",
+    "derived_biquandle": "plan",
     "verify_biquandle_axioms": "biquandle",
     "yb_map": "biquandle",
     "yb_map_inverse": "biquandle",
     "r_map": "biquandle",
-    "is_involutive": "tables",
+    "is_involutive": "axioms",
     "EmptyGenerators": "closures",
     "group_closure": "closures",
     "biquandle_closure": "closures",

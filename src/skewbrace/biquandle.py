@@ -12,21 +12,13 @@ with right inverses
 
 where ^circ and ^star denote group inverses. The four tables are built
 and their axioms checked in plain Python over 0-based row lists, as in
-`tables`; numpy is not imported here.
+`axioms`; numpy is not imported here.
 """
 
 from __future__ import annotations
 
-from .tables import (
-    DomainError,
-    OperationTable,
-    Record,
-    SkewBrace,
-    _first_difference,
-    _gather,
-    _inverse_map,
-    _zero_based_rows,
-)
+from .axioms import _first_difference, _gather, _inverse_map, _zero_based_rows
+from .tables import DomainError, OperationTable, Record, SkewBrace
 
 __all__ = [
     "Biquandle",

@@ -5,8 +5,9 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
+from .bracefile import parse_brace_file
 from .gauss import LinkDiagram, parse_link_file
-from .tables import SkewBrace, parse_brace_file
+from .tables import SkewBrace
 
 __all__ = [
     "bundled_brace_names",

@@ -5,16 +5,18 @@ Exit codes: 0 success, 1 domain error (a failed move check, or a
 frontier budget) with the witness printed, 2 usage or IO error.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
-only `tables` is imported at the top, since every command reads a brace.
-No command imports numpy.
+only `tables`, `axioms` and `bracefile` are imported at the top, since
+every command reads and validates a brace. No command imports numpy, and
+no module imports this one: run as `python -m skewbrace.cli`, it is
+`__main__`, so importing `skewbrace.cli` would compile it a second time.
 
 One table, `_COMMANDS`, describes every command, its positionals and its
 options. `_parse` reads from it the plain command lines every documented
 use writes, without argparse, whose import and parser cost a cold
 process about 15 ms and 0.6 MB of peak RSS. Any other line (`-h`, a
 usage error, an abbreviated option, `--opt=value`, `--`) goes to the
-argparse parser `_build_parser` builds from the same table, so argparse
-alone writes help, usage and error texts.
+argparse parser `usage.build_parser` builds from the same table, so
+argparse alone writes help, usage and error texts.
 """
 
 from __future__ import annotations
@@ -24,19 +26,17 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .tables import DomainError, SkewBrace, is_involutive, is_star_commutative, parse_brace_file
+from .axioms import is_involutive, is_star_commutative
+from .bracefile import _format_tables, parse_brace_file
+from .tables import DomainError, SkewBrace
 
 if TYPE_CHECKING:
-    import argparse
-
     from .gauss import LinkDiagram
 
 __all__ = ["main"]
 
 
 _JOBS_HELP = "accepted for compatibility; has no effect"
-# colorings formatted per write by `color`
-_COLOR_CHUNK = 1024
 
 
 class _UsageError(Exception):
@@ -71,7 +71,7 @@ def _load_brace(path: str) -> SkewBrace:
     return parse_brace_file(_read_text(path))
 
 
-def _load_link(arg: str, name: str | None) -> tuple[str, LinkDiagram]:
+def _load_link(arg: str, name: str | None) -> LinkDiagram:
     """A link argument is a file of named links or an inline Gauss code."""
     from .gauss import looks_like_gauss_code, parse_gauss_code, parse_link_file
 
@@ -87,12 +87,12 @@ def _load_link(arg: str, name: str | None) -> tuple[str, LinkDiagram]:
             name = next(iter(links))
         if name not in links:
             raise _UsageError(f"no link named {name!r} in {arg}")
-        return name, links[name]
+        return links[name]
     if name is not None:
         raise _UsageError("--name only applies when the link argument is a file")
     if not looks_like_gauss_code(arg):
         raise _UsageError(f"link argument is neither an existing file nor a Gauss code: {arg}")
-    return "inline", parse_gauss_code(arg)
+    return parse_gauss_code(arg)
 
 
 def _cmd_validate(args) -> int:
@@ -108,12 +108,7 @@ def _cmd_biquandle(args) -> int:
 
     brace = _load_brace(args.brace)
     bq = derive_biquandle(brace)
-    print(bq.n)
-    for row in bq.under.rows:
-        print(" ".join(str(v) for v in row))
-    print()
-    for row in bq.over.rows:
-        print(" ".join(str(v) for v in row))
+    sys.stdout.write(_format_tables(bq.under, bq.over))
     return 0
 
 
@@ -127,32 +122,11 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    from .enumeration import sorted_columns
+    from .enumeration import sorted_columns, write_colorings
 
     brace = _load_brace(args.brace)
-    _, diagram = _load_link(args.link, args.name)
-    cols = sorted_columns(brace, diagram)
-    n, s, m = brace.n, len(cols), len(cols[0])
-    # each color right-aligned in w places and padded with \0, deleted on
-    # write: every line has one width, so each digit place of a column
-    # fills a chunk with one strided slice
-    w = len(str(n))
-    names = [str(x).rjust(w, "\0").encode() for x in range(n + 1)]
-    places = [bytes(name[p] for name in names).ljust(256, b"\0") for p in range(w)]
-    size = s * (w + 1)
-    write = sys.stdout.write
-    write("# semiarc " + " ".join(str(i) for i in range(s)) + "\n")
-    # a chunk of lines at a time, so no buffer holds the whole output
-    for i in range(0, m, _COLOR_CHUNK):
-        k = min(_COLOR_CHUNK, m - i)
-        buf = bytearray(b" ") * (k * size)
-        buf[size - 1 :: size] = b"\n" * k
-        for j, col in enumerate(cols):
-            part = col[i : i + k]
-            for p, place in enumerate(places):
-                digits = part.translate(place) if n < 256 else bytes(map(place.__getitem__, part))
-                buf[j * (w + 1) + p :: size] = digits
-        write(buf.translate(None, b"\0").decode())
+    diagram = _load_link(args.link, args.name)
+    write_colorings(sorted_columns(brace, diagram), brace.n, sys.stdout.write)
     return 0
 
 
@@ -164,7 +138,7 @@ def _cmd_invariant(args) -> int:
     else:
         from .invariants import ideal_polynomial as invariant
     brace = _load_brace(args.brace)
-    _, diagram = _load_link(args.link, args.name)
+    diagram = _load_link(args.link, args.name)
     value = invariant(brace, diagram)
     if args.json:
         import json
@@ -180,7 +154,7 @@ def _cmd_check_moves(args) -> int:
     from .invariants import move_invariance_trials
 
     brace = _load_brace(args.brace)
-    _, diagram = _load_link(args.link, args.name)
+    diagram = _load_link(args.link, args.name)
     result = move_invariance_trials(
         brace, diagram, trials=args.trials, seed=args.seed
     )
@@ -292,38 +266,15 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the same commands: it parses what `_parse`
-    does not and writes every help, usage and error text."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="skewbrace",
-        description="Skew brace validation and coloring invariants of knots and links",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, positionals, options) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        for dest, help_text in positionals:
-            p.add_argument(dest, help=help_text)
-        for flag, (default, kind, help_text) in options.items():
-            if kind is bool:
-                p.add_argument(flag, action="store_true", help=help_text)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, default=default, help=help_text)
-            else:
-                p.add_argument(flag, type=kind, default=default, help=help_text)
-        p.set_defaults(func=_function(command))
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse(argv)
     if args is None:
+        from .usage import build_parser
+
         try:
-            args = _build_parser().parse_args(argv)
+            args = build_parser(_COMMANDS, _function).parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

@@ -12,19 +12,28 @@ last first. The columns after a free semiarc are built once per run of
 sorted partial colorings that agree on every semiarc before it, and tiled
 n times, once per color of the free semiarc; a bound semiarc's column
 repeats each partial coloring's color once per coloring it completes to.
-With k free semiarcs the sort covers 1/n**k of the colorings.
+Once the runs are single partial colorings, the columns after a free
+semiarc are built whole. With k free semiarcs the sort covers 1/n**k of
+the colorings.
 
+`write_colorings` formats the columns as the lines of `skewbrace color`.
 `coloring.enumerate_colorings` and `skewbrace color` import this module
 when they run, so no other command compiles it.
 """
 
 from __future__ import annotations
 
-from .coloring import Column, _column_type, _compiled_for, _count_split, _repeat, _survivors
+from collections.abc import Callable
+
+from .coloring import Column, _column_type, _count_split, _repeat, _survivors
 from .gauss import LinkDiagram
+from .plan import _compiled_for
 from .tables import SkewBrace
 
-__all__ = ["sorted_columns"]
+__all__ = ["sorted_columns", "write_colorings"]
+
+# colorings formatted per write by `write_colorings`
+_COLOR_CHUNK = 1024
 
 
 def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
@@ -53,39 +62,76 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     # level t covers the semiarcs after loose[t - 1], of which the bound
     # ones are bound[cut[t] : cut[t + 1]]; its runs are the partial
     # colorings that agree on bound[: cut[t]], and ends[t] lists where
-    # they end
+    # they end; level 0 is one run
     k = len(loose)
     cut = [0, *(f - t for t, f in enumerate(loose)), len(bound)]
-    ends = [
+    ends = [[m]] + [
         [r for r in range(1, m) if rows[r - 1][:c] != rows[r][:c]] + [m]
-        for c in map(w.__mul__, cut[:-1])
+        for c in map(w.__mul__, cut[1:-1])
     ]
     del rows, raw
     digits = column(range(1, n + 1))
-    # the runs of level t + 1, last first, as (end, columns from loose[t] on)
-    below: list[tuple[int, list[Column]]] = []
-    for t in reversed(range(k + 1)):
+    # the first level whose runs are all single survivors, if any: from
+    # loose[t - 1] on, each survivor's colorings run through the free
+    # colors in order, with each bound semiarc's color repeated, so the
+    # level is built whole; every level after it has single runs too
+    t = next((t for t in range(1, k + 1) if len(ends[t]) == m), k + 1)
+    # the columns from loose[t - 1] on of level t, its runs one after
+    # another: each survivor takes n**(k - t + 1) lines
+    tail: list[Column] = []
+    for x in range(loose[t - 1] if t <= k else s, s):
+        if x in known:
+            tail.append(_repeat(known[x], n ** (k - t + 1)))
+        else:
+            u = loose.index(x)
+            tail.append(_repeat(digits, n ** (k - u - 1)) * (m * n ** (u - t + 1)))
+    for t in reversed(range(t)):
         reps, level, lo = n ** (k - t), [], 0
         for hi in ends[t]:
-            # each partial coloring of the run completes in reps ways
+            # each partial coloring of the run completes in reps ways, each
+            # after its reps lines of level t + 1
             cols = [_repeat(known[j][lo:hi], reps) for j in bound[cut[t] : cut[t + 1]]]
-            if t < k:
-                # the runs of level t + 1 in this run, one after another
-                tail = below.pop()[1]
-                while below and below[-1][0] <= hi:
-                    for c, more in zip(tail, below.pop()[1]):
-                        c += more
-                cols += tail
+            cols += tail if hi - lo == m else [c[lo * reps : hi * reps] for c in tail]
             if t:
                 # loose[t - 1] takes each color on one stretch of the block,
                 # over which the columns after it run through once
                 cols = [_repeat(digits, (hi - lo) * reps), *(c * n for c in cols)]
-            level.append((hi, cols))
+            if level:
+                for c, more in zip(level, cols):
+                    c += more
+            else:
+                level = cols
             lo = hi
-        below = level[::-1]
-    return below[0][1]
+        tail = level
+    return tail
 
 
 def _be16(hi: int, lo: int) -> int:
     """A 16-bit color from its big-endian bytes."""
     return hi << 8 | lo
+
+
+def write_colorings(cols: list[Column], n: int, write: Callable[[str], object]) -> None:
+    """Write colorings over colors 1..n, given as one column per semiarc,
+    as the lines of `skewbrace color`: a `# semiarc` header, then one line
+    of space-separated colors per coloring."""
+    s, m = len(cols), len(cols[0])
+    # each color right-aligned in w places and padded with \0, deleted on
+    # write: every line has one width, so each digit place of a column
+    # fills a chunk with one strided slice
+    w = len(str(n))
+    names = [str(x).rjust(w, "\0").encode() for x in range(n + 1)]
+    places = [bytes(name[p] for name in names).ljust(256, b"\0") for p in range(w)]
+    size = s * (w + 1)
+    write("# semiarc " + " ".join(str(i) for i in range(s)) + "\n")
+    # a chunk of lines at a time, so no buffer holds the whole output
+    for i in range(0, m, _COLOR_CHUNK):
+        k = min(_COLOR_CHUNK, m - i)
+        buf = bytearray(b" ") * (k * size)
+        buf[size - 1 :: size] = b"\n" * k
+        for j, col in enumerate(cols):
+            part = col[i : i + k]
+            for p, place in enumerate(places):
+                digits = part.translate(place) if n < 256 else bytes(map(place.__getitem__, part))
+                buf[j * (w + 1) + p :: size] = digits
+        write(buf.translate(None, b"\0").decode())

@@ -12,8 +12,9 @@ from functools import lru_cache
 from typing import ClassVar
 
 from .closures import _biquandle_mask, _group_mask, _ideal_mask
-from .coloring import _color_set_counts, derived_biquandle
+from .coloring import _color_set_counts
 from .gauss import LinkDiagram, format_gauss_code
+from .plan import derived_biquandle
 from .tables import Record, SkewBrace
 
 __all__ = [

@@ -6,8 +6,9 @@ benchmark's output checks, through `skewbrace.brute_force_colorings`.
 
 from __future__ import annotations
 
-from .coloring import Coloring, Table, _base_tables, derived_biquandle
+from .coloring import Coloring
 from .gauss import LinkDiagram, build_constraints
+from .plan import Table, _base_tables, derived_biquandle
 from .tables import SkewBrace
 
 __all__ = ["brute_force_colorings"]

@@ -1,12 +1,9 @@
 """Finite binary operations, groups, and skew braces from structure tables.
 
 Elements are labeled 1..n throughout, matching the structure-table files.
-Validation is exhaustive and reports the first counterexample in row-major
-scan order, so error fixtures are deterministic.
-
-Tables are tuples of row tuples and every check is plain Python, one row
-at a time: at the sizes of a brace census an n^3 scan is a few thousand
-triples, cheaper than importing numpy.
+Tables are tuples of row tuples. This module holds the values and the
+errors; the axiom checks that build a `FiniteGroup` or a `SkewBrace` are
+in `axioms`, and the text format in `bracefile`.
 
 `Record`, the immutable value base of every structure in the package,
 lives here because every command loads this module: importing
@@ -16,9 +13,7 @@ class with it cost a CLI job more than the work of a small diagram.
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Callable, Sequence
-from operator import itemgetter
+from collections.abc import Sequence
 
 __all__ = [
     "DomainError",
@@ -32,13 +27,6 @@ __all__ = [
     "NoInverse",
     "DistributiveLawFails",
     "IdentityMismatch",
-    "validate_group",
-    "validate_skew_brace",
-    "is_star_commutative",
-    "is_involutive",
-    "parse_brace_file",
-    "format_brace_file",
-    "load_brace_file",
 ]
 
 
@@ -225,175 +213,3 @@ class SkewBrace(Record):
     @property
     def identity(self) -> int:
         return self.circ.identity
-
-
-def _zero_based_rows(table: OperationTable) -> list[tuple[int, ...]]:
-    return [tuple([v - 1 for v in row]) for row in table.rows]
-
-
-def _gather(index: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The map from a row r to (r[i] for i in index), as a tuple."""
-    get = itemgetter(*index)
-    return get if len(index) > 1 else lambda row: (get(row),)
-
-
-def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
-    return next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
-
-
-def _check_associative(t: list[tuple[int, ...]], table_name: str) -> None:
-    # (x op y) op z against x op (y op z), one row over z per (x, y)
-    by_row = [_gather(ty) for ty in t]
-    for x, tx in enumerate(t):
-        for y, xy in enumerate(tx):
-            left = t[xy]
-            right = by_row[y](tx)
-            if left != right:
-                z = _first_difference(left, right)
-                raise NotAssociative(x + 1, y + 1, z + 1, table_name)
-
-
-def validate_group(table: OperationTable, table_name: str = "") -> FiniteGroup:
-    """Check the group axioms exhaustively and return the validated group.
-
-    Raises NotAssociative, NoIdentity, or NoInverse naming the first witness.
-    """
-    n = table.n
-    t = _zero_based_rows(table)
-    _check_associative(t, table_name)
-    idx = tuple(range(n))
-    ident = next(
-        (c for c in idx if t[c] == idx and tuple([row[c] for row in t]) == idx), None
-    )
-    if ident is None:
-        raise NoIdentity(table_name)
-    inverse = []
-    for x in idx:
-        y = next((y for y in idx if t[x][y] == ident and t[y][x] == ident), None)
-        if y is None:
-            raise NoInverse(x + 1, table_name)
-        inverse.append(y + 1)
-    return FiniteGroup(table=table, identity=ident + 1, inverse=tuple(inverse))
-
-
-def validate_skew_brace(circ: OperationTable, star: OperationTable) -> SkewBrace:
-    """Validate both tables as groups and the modified distributive law.
-
-    The law is x@(y*z) = (x@y) * inv_*(x) * (x@z) with @ the circ operation,
-    checked for all n^3 triples.
-    """
-    if circ.n != star.n:
-        raise TableMalformed(f"table sizes differ: {circ.n} vs {star.n}")
-    g_circ = validate_group(circ, "circ")
-    g_star = validate_group(star, "star")
-    if g_circ.identity != g_star.identity:
-        raise IdentityMismatch(g_circ.identity, g_star.identity)
-
-    c = _zero_based_rows(circ)
-    s = _zero_based_rows(star)
-    sinv = _inverse_map(g_star)
-    by_star_row = [_gather(sy) for sy in s]
-    for x, cx in enumerate(c):
-        by_cx = _gather(cx)
-        for y, xy in enumerate(cx):
-            lhs = by_star_row[y](cx)                    # x @ (y*z)
-            a = s[s[xy][sinv[x]]]                       # row of (x@y) * x^-*
-            rhs = by_cx(a)                              # ... * (x@z)
-            if lhs != rhs:
-                z = _first_difference(lhs, rhs)
-                raise DistributiveLawFails(x + 1, y + 1, z + 1)
-    return SkewBrace(n=circ.n, circ=g_circ, star=g_star)
-
-
-def is_star_commutative(brace: SkewBrace) -> bool:
-    rows = brace.star.table.rows
-    return tuple(zip(*rows)) == rows
-
-
-def _inverse_map(group: FiniteGroup) -> list[int]:
-    """0-based inverses."""
-    return [v - 1 for v in group.inverse]
-
-
-def is_involutive(brace: SkewBrace) -> bool:
-    """True iff r composed with itself is the identity on all pairs."""
-    c0 = _zero_based_rows(brace.circ.table)
-    s0 = _zero_based_rows(brace.star.table)
-    cinv0 = _inverse_map(brace.circ)
-    sinv0 = _inverse_map(brace.star)
-    xs = range(brace.n)
-    # a[x][y] = x^star star (x circ y); b[x][y] = a^circ circ x circ y
-    a = [[s0[sinv0[x]][v] for v in c0[x]] for x in xs]
-    b = [[c0[c0[cinv0[a[x][y]]][x]][y] for y in xs] for x in xs]
-    return all(
-        a[a[x][y]][b[x][y]] == x and b[a[x][y]][b[x][y]] == y for x in xs for y in xs
-    )
-
-
-# ---------------------------------------------------------------------------
-# brace file format: optional '#' comments, n, n rows for the circ table,
-# one blank line, n rows for the star table
-
-
-def _digits_past_limit(text: str) -> int:
-    """The digit count of `text`'s longest token, if it passes the
-    interpreter's limit on digits in an int (so `int()` refused it for its
-    length), else 0."""
-    digits = max(sum(c.isdecimal() for c in tok) for tok in text.split())
-    return digits if 0 < sys.get_int_max_str_digits() < digits else 0
-
-
-def parse_brace_file(text: str) -> SkewBrace:
-    body = [ln.rstrip() for ln in text.splitlines() if not ln.lstrip().startswith("#")]
-    filled = [i for i, ln in enumerate(body) if ln]
-    if not filled:
-        raise TableMalformed("empty brace file")
-    body = body[filled[0] : filled[-1] + 1]
-    try:
-        n = int(body[0])
-    except ValueError:
-        if digits := _digits_past_limit(body[0]):
-            raise TableMalformed(f"carrier size of {digits} digits is too long") from None
-        raise TableMalformed(f"expected carrier size on the first line, got {body[0]!r}") from None
-    if n < 1:
-        raise TableMalformed("carrier size must be at least 1")
-
-    def read_rows(start: int, what: str) -> list[list[int]]:
-        rows = []
-        for line in body[start : start + n]:
-            if not line:
-                raise TableMalformed(f"{what} table: blank line after {len(rows)} of {n} rows")
-            try:
-                row = [int(tok) for tok in line.split()]
-            except ValueError:
-                if digits := _digits_past_limit(line):
-                    raise TableMalformed(f"{what} table: entry of {digits} digits is too long") from None
-                raise TableMalformed(f"{what} table: non-integer entry in {line!r}") from None
-            if len(row) != n:
-                raise TableMalformed(f"{what} table: row has {len(row)} entries, expected {n}")
-            rows.append(row)
-        if len(rows) < n:
-            raise TableMalformed(f"{what} table: expected {n} rows, found {len(rows)}")
-        return rows
-
-    circ = read_rows(1, "circ")
-    if body[n + 1 : n + 2] != [""]:
-        raise TableMalformed("expected one blank line between the two tables")
-    star = read_rows(n + 2, "star")
-    if len(body) > 2 * n + 2:
-        raise TableMalformed("trailing content after the star table")
-    return validate_skew_brace(OperationTable(n, circ), OperationTable(n, star))
-
-
-def format_brace_file(brace: SkewBrace) -> str:
-    """Canonical file form: n, circ rows, blank line, star rows."""
-    out = [str(brace.n)]
-    for table in (brace.circ.table, brace.star.table):
-        out.extend(" ".join(str(v) for v in row) for row in table.rows)
-        out.append("")
-    return "\n".join(out[:-1]) + "\n"
-
-
-def load_brace_file(path: str) -> SkewBrace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_brace_file(fh.read())

@@ -29,7 +29,7 @@ from skewbrace import (
     specialize,
     validate_skew_brace,
 )
-from skewbrace.coloring import derived_biquandle
+from skewbrace.plan import derived_biquandle
 
 PAIRS = [
     (bn, ln)

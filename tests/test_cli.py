@@ -16,6 +16,7 @@ from skewbrace import build_constraints, enumerate_colorings, format_brace_file,
 from skewbrace.bundled import bundled_brace_path, bundled_links_path
 from skewbrace import cli
 from skewbrace.cli import main
+from skewbrace.usage import build_parser
 
 from conftest import trivial_cyclic_brace
 
@@ -134,12 +135,12 @@ def test_color_prints_16_bit_colors(capsys, tmp_path):
 def test_color_output_spans_several_chunks(capsys):
     """`color` writes its lines a chunk at a time, header first, with the
     same bytes as formatting every coloring line by line."""
-    from skewbrace import cli, load_bundled_brace
+    from skewbrace import enumeration, load_bundled_brace
 
     code = "- / - / - / - / -"
     d = parse_gauss_code(code)
     rows = enumerate_colorings(load_bundled_brace("nab6"), d)
-    assert len(rows) == 6**5 > cli._COLOR_CHUNK
+    assert len(rows) == 6**5 > enumeration._COLOR_CHUNK
     header = "# semiarc " + " ".join(map(str, range(build_constraints(d).semiarc_count)))
     want = "".join(line + "\n" for line in [header, *(" ".join(map(str, row)) for row in rows)])
     assert run(capsys, "color", NAB6, code) == (0, want, "")
@@ -532,7 +533,7 @@ def test_plain_command_lines_parse_as_argparse_does(argv):
     if fast is None:
         return
     try:
-        slow = cli._build_parser().parse_args(argv)
+        slow = build_parser(cli._COMMANDS, cli._function).parse_args(argv)
     except SystemExit:
         pytest.fail(f"argparse rejects {argv!r}, which _parse accepts")
 

@@ -15,7 +15,7 @@ from skewbrace import (
     is_ideal,
 )
 from skewbrace.closures import _bits, _fixpoint
-from skewbrace.coloring import derived_biquandle
+from skewbrace.plan import derived_biquandle
 
 from conftest import trivial_cyclic_brace
 

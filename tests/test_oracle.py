@@ -32,6 +32,7 @@ from skewbrace import (
 from skewbrace import coloring, enumeration, invariants
 from skewbrace.bundled import bundled_brace_path
 from skewbrace.cli import main
+from skewbrace.plan import CompiledPlan, _compiled_for, _lookup
 
 from conftest import random_code, trivial_cyclic_brace
 
@@ -42,7 +43,7 @@ braces = {name: load_bundled_brace(name) for name in BRACE_NAMES}
 
 
 def has_pair_rows(brace, d) -> bool:
-    plan = coloring._compiled_for(brace, d).plan
+    plan = _compiled_for(brace, d).plan
     return any(kind == 1 and t >= 4 for kind, _, _, _, t, _ in plan)
 
 
@@ -78,7 +79,7 @@ def check_against_oracle(d) -> int:
     s = system.semiarc_count
     pair_plans = 0
     for brace in braces.values():
-        check_plan_structure(coloring._compiled_for(brace, d), len(system.constraints))
+        check_plan_structure(_compiled_for(brace, d), len(system.constraints))
         if brace.n**s > ORACLE_SPACE:
             continue
         cols = enumerate_colorings(brace, d)
@@ -254,7 +255,7 @@ def test_chunked_search_matches_unchunked(monkeypatch):
     chunked = 0
     for name, d in chunk_cases():
         brace = braces[name]
-        cp = coloring._compiled_for(brace, d)
+        cp = _compiled_for(brace, d)
         assert len(list(coloring._frontiers(cp, len(cp.plan)))) <= 1
         whole = frontier_rows(cp)
         count = counting_invariant(brace, d)
@@ -285,8 +286,8 @@ def test_a_chunk_chain_past_the_recursion_limit(monkeypatch):
     for i in range(1, k + 1):
         # a digit on semiarc i, then keep vals[i - 1] == T[vals[i]][vals[i]]
         plan += [(0, i, i, 0, 0, 0), (1, i, i, i - 1, 0, 1)]
-    table = coloring._lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
-    cp = coloring.CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1)
+    table = _lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
+    cp = CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1)
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 3 * (k + 1))
     assert frontier_rows(cp) == [[1] * (k + 1), [1] * k + [2], [3] * (k + 1)]
 
@@ -307,7 +308,7 @@ def test_sorted_columns_sort_the_frontier(monkeypatch):
     for _ in range(100):
         brace = braces[rng.choice(BRACE_NAMES)]
         d = parse_gauss_code(padded_code(rng, rng.randint(1, 6), rng.randint(0, 2)))
-        cp = coloring._compiled_for(brace, d)
+        cp = _compiled_for(brace, d)
         whole = sorted(frontier_rows(cp))
         assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
         budget = max(2 * brace.n * cp.semiarc_count, len(whole) * cp.semiarc_count)

@@ -20,7 +20,6 @@ from skewbrace.biquandle import (
     derive_biquandle,
     verify_biquandle_axioms,
 )
-from skewbrace.coloring import CompiledPlan, _compile
 from skewbrace.gauss import (
     CrossingConstraint,
     LinkDiagram,
@@ -37,6 +36,7 @@ from skewbrace.invariants import (
     exponent_profile,
     move_invariance_trials,
 )
+from skewbrace.plan import CompiledPlan, _compile
 from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace
 
 # every record class with its constructor's field names, in order

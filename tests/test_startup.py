@@ -20,14 +20,17 @@ NAB6 = str(DATA / "braces" / "nab6.txt")
 LINKS = str(DATA / "links.txt")
 
 
+def run(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python argv...` with `src` on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def python(code: str, *argv: str):
     """Run `python -c code argv...` with `src` on the path; the last stdout
     line, read as a Python literal."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
-    )
+    out = run("-c", code, *argv)
     assert out.returncode == 0, out.stderr
     return ast.literal_eval(out.stdout.splitlines()[-1])
 
@@ -40,16 +43,18 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert loaded == (["skewbrace"], False)
 
 
-COLORING = {"tables", "biquandle", "gauss", "coloring"}
+# every command reads and validates a brace
+BRACE = {"tables", "axioms", "bracefile"}
+COLORING = BRACE | {"biquandle", "gauss", "plan", "coloring"}
 POLYNOMIALS = COLORING | {"closures", "invariants"}
 
 
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["validate", NAB6], {"tables"}),
-        (["biquandle", NAB6], {"tables", "biquandle"}),
-        (["ideals", NAB6], {"tables", "closures"}),
+        (["validate", NAB6], BRACE),
+        (["biquandle", NAB6], BRACE | {"biquandle"}),
+        (["ideals", NAB6], BRACE | {"closures"}),
         (["color", NAB6, "O1+ / U1+"], COLORING | {"enumeration"}),
         (["invariant", NAB6, "O1+ / U1+"], COLORING),
         (["invariant", NAB6, "O1+ / U1+", "--json"], COLORING),
@@ -128,11 +133,10 @@ COMMAND_IDS = [
     "validate", "biquandle", "ideals", "color", "count", "count-json",
     "sb", "ideal-json", "check-moves", "batch",
 ]
-MODULES = [
-    "skewbrace", "skewbrace.tables", "skewbrace.biquandle", "skewbrace.closures",
-    "skewbrace.gauss", "skewbrace.moves", "skewbrace.coloring", "skewbrace.invariants",
-    "skewbrace.bundled", "skewbrace.cli", "skewbrace.oracle",
-]
+SOURCES = sorted((ROOT / "src" / "skewbrace").glob("*.py"))
+# every submodule, by its name in the package
+SUBMODULES = [path.stem for path in SOURCES if path.stem != "__init__"]
+MODULES = ["skewbrace", *(f"skewbrace.{m}" for m in SUBMODULES)]
 # `dataclasses` loads `inspect`, `ast` and `dis`: about 9 ms of every job,
 # and as much again to decorate the record classes
 SLOW_STDLIB = "('dataclasses' in sys.modules, 'inspect' in sys.modules)"
@@ -168,10 +172,7 @@ def test_no_module_loads_dataclasses_or_inspect(module):
     assert python(f"import sys, {module}\nprint({SLOW_STDLIB})") == (False, False)
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["tables", "biquandle", "closures", "gauss", "moves", "coloring", "invariants", "oracle"],
-)
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_algebra_modules_load_no_numpy(module):
     assert python(f"import sys, skewbrace.{module}\nprint('numpy' in sys.modules)") is False
 
@@ -189,3 +190,33 @@ def test_oracle_and_tables_load_no_numpy():
         "print((len(found), 'numpy' in sys.modules))"
     )
     assert (found, loaded) == (24, False)
+
+
+@pytest.mark.parametrize("argv", [*COMMANDS, ["invariant", "-h"]], ids=[*COMMAND_IDS, "help"])
+def test_the_running_cli_is_not_compiled_again(argv):
+    """Run as `python -m skewbrace.cli`, the CLI module is `__main__`, so a
+    module that imported `skewbrace.cli` would compile it a second time."""
+    out = run("-X", "importtime", "-m", "skewbrace.cli", *argv)
+    assert out.returncode == 0, out.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "skewbrace" in imported
+    assert "skewbrace.cli" not in imported
+
+
+# with no bytecode cache every job compiles its modules from source, and
+# compiling one holds about 400 B per AST node until it is done; malloc
+# keeps that high-water mark, so a job's peak RSS grows with the largest
+# module it compiles
+MAX_NODES = 1500
+
+
+def test_no_module_is_too_large_to_compile():
+    nodes = {
+        path.name: sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in SOURCES
+    }
+    assert {name: n for name, n in nodes.items() if n > MAX_NODES} == {}
