@@ -72,24 +72,24 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     del rows, raw
     digits = column(range(1, n + 1))
     # the first level whose runs are all single survivors, if any: from
-    # loose[t - 1] on, each survivor's colorings run through the free
+    # loose[top - 1] on, each survivor's colorings run through the free
     # colors in order, with each bound semiarc's color repeated, so the
     # level is built whole; every level after it has single runs too
-    t = next((t for t in range(1, k + 1) if len(ends[t]) == m), k + 1)
-    # the columns from loose[t - 1] on of level t, its runs one after
-    # another: each survivor takes n**(k - t + 1) lines
+    top = next((t for t in range(1, k + 1) if len(ends[t]) == m), k + 1)
+    # the columns from loose[top - 1] on of level top, its runs one after
+    # another: each survivor takes n**(k - top + 1) lines
     tail: list[Column] = []
-    for x in range(loose[t - 1] if t <= k else s, s):
+    for x in range(loose[top - 1] if top <= k else s, s):
         if x in known:
-            tail.append(_repeat(known[x], n ** (k - t + 1)))
+            tail.append(_repeat(known[x], n ** (k - top + 1)))
         else:
             u = loose.index(x)
-            tail.append(_repeat(digits, n ** (k - u - 1)) * (m * n ** (u - t + 1)))
-    for t in reversed(range(t)):
+            tail.append(_repeat(digits, n ** (k - u - 1)) * (m * n ** (u - top + 1)))
+    for t in reversed(range(top)):
         reps, level, lo = n ** (k - t), [], 0
         for hi in ends[t]:
-            # each partial coloring of the run completes in reps ways, each
-            # after its reps lines of level t + 1
+            # each partial coloring of the run completes in reps ways, and
+            # takes reps lines of level t + 1
             cols = [_repeat(known[j][lo:hi], reps) for j in bound[cut[t] : cut[t + 1]]]
             cols += tail if hi - lo == m else [c[lo * reps : hi * reps] for c in tail]
             if t:
