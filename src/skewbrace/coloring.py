@@ -1,8 +1,8 @@
 """Coloring search for link diagrams over a skew brace.
 
 A coloring assigns a brace element to every semiarc. `plan` compiles
-each diagram into a straight-line plan of digit rows and relation rows;
-this module runs it.
+each diagram into a straight-line plan of digit rows and relation rows,
+and lists the free semiarcs that no row sets; this module runs it.
 
 The plan runs breadth first over a frontier of partial colorings, held
 as one column per semiarc: a `bytearray` of the colors 1..n, or for
@@ -11,20 +11,19 @@ picked once from n. A digit row repeats every partial coloring n times
 and tiles the new digit, a relation row maps two columns through a table
 of row tuples, and a filter row drops the partial colorings it rejects
 from every column. A column stays unset until a row assigns its
-semiarc. Digit rows come in a fixed order, so the frontier is always in
-the lexicographic order of the digits chosen so far. Counting stops at
-the last filter row: each partial coloring left then completes in
-exactly n**(digit rows left) ways.
+semiarc, and a free semiarc's column is never set. Digit rows come in a
+fixed order, so the frontier is always in the lexicographic order of the
+digits chosen so far. Each partial coloring the whole plan leaves
+completes in exactly n**(free semiarcs) ways.
 
 The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
 times semiarcs). A digit row that would pass that bound cuts the frontier
 into chunks that pass it within the bound and pushes them onto one stack
 of blocks, the first chunk on top, which keeps the order. The count has
 no other bound. Enumeration and the polynomials run the count's search
-to the last filter row and raise `SearchTooLarge` there once the
-colorings the partial colorings left complete to would pass the same
-bound. `enumeration.sorted_columns` then sorts them and fills in the
-semiarcs of the digit rows after that row, and `_color_set_counts` folds
+and raise `SearchTooLarge` once the colorings the partial colorings found
+complete to would pass the same bound. `enumeration.sorted_columns` then
+sorts them and fills in the free semiarcs, and `_color_set_counts` folds
 them into counts per used-color set without making the colorings.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
@@ -90,10 +89,10 @@ def _too_large(n: int, s: int) -> SearchTooLarge:
     return SearchTooLarge(f"{what} of {_FRONTIER_CELLS} cells")
 
 
-def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[Block]:
-    """Run plan rows [0, stop) breadth first; yield the surviving partial
-    colorings as blocks (m, columns) in digit order, with None for a
-    semiarc no row has assigned yet."""
+def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
+    """Run the plan breadth first; yield the surviving partial colorings
+    as blocks (m, columns) in digit order, with None for a free
+    semiarc."""
     n, s = cp.n, cp.semiarc_count
     rows, tbl = cp.plan, cp.tbl
     column = _column_type(n)
@@ -103,7 +102,7 @@ def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[Block]:
     stack: list[tuple[int, int, list[Column | None]]] = [(0, 1, [None] * s)]
     while stack:
         first, m, cols = stack.pop()
-        for r in range(first, stop):
+        for r in range(first, len(rows)):
             kind, a, b, dst, t, mode = rows[r]
             if kind == 0:
                 if m > step:
@@ -132,38 +131,26 @@ def _frontiers(cp: CompiledPlan, stop: int) -> Iterator[Block]:
             yield m, cols
 
 
-def _count_split(cp: CompiledPlan) -> tuple[int, int]:
-    """The row after the plan's last relation row, and the digit rows after
-    it: no row reads their semiarcs, so each partial coloring left there
-    completes in exactly n**free ways, one per choice of their colors.
-    In the plans `_compile` makes, that relation row is a filter row (the
-    oracle tests check it) and those digits are on zero-crossing
-    components."""
-    rows = cp.plan
-    stop = max((r + 1 for r, row in enumerate(rows) if row[0] == 1), default=0)
-    return stop, len(rows) - stop
-
-
 def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> int:
-    """Number of colorings, without materializing them.
-
-    The search stops at the plan's last filter row. `jobs` is accepted
-    for compatibility and has no effect.
+    """Number of colorings, without materializing them: the partial
+    colorings the plan leaves, each times n per free semiarc. `jobs` is
+    accepted for compatibility and has no effect.
     """
     cp = _compiled_for(brace, d)
-    stop, free = _count_split(cp)
-    return sum(m for m, _ in _frontiers(cp, stop)) * cp.n**free
+    return sum(m for m, _ in _frontiers(cp)) * cp.n ** len(cp.free)
 
 
-def _survivors(cp: CompiledPlan, stop: int, free: int) -> Iterator[Block]:
-    """The count's search, rows [0, stop), under the enumeration's budget:
-    raises SearchTooLarge once the partial colorings found complete to
-    colorings of more than `_FRONTIER_CELLS` cells."""
+def _survivors(cp: CompiledPlan) -> Iterator[Block]:
+    """The count's search under the enumeration's budget: raises
+    SearchTooLarge once the partial colorings found complete to colorings
+    of more than `_FRONTIER_CELLS` cells."""
     n, s = cp.n, cp.semiarc_count
+    # the cells of the colorings each partial coloring completes to
+    cells = n ** len(cp.free) * s
     found = 0
-    for m, cols in _frontiers(cp, stop):
+    for m, cols in _frontiers(cp):
         found += m
-        if found * n**free * s > _FRONTIER_CELLS:
+        if found * cells > _FRONTIER_CELLS:
             raise _too_large(n, s)
         yield m, cols
 
@@ -173,20 +160,19 @@ def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
     bitmask (bit x - 1 for color x), without making the colorings.
 
     Each partial coloring `_survivors` leaves ORs its columns into its
-    mask, under the enumeration's budget. Every digit row after the last
-    filter row only widens the masks, since no row reads its semiarc.
+    mask, under the enumeration's budget. Each free semiarc then widens
+    every mask by each color in turn.
     """
     cp = _compiled_for(brace, d)
-    stop, free = _count_split(cp)
     bit = [0] + [1 << x for x in range(cp.n)]
     counts: dict[int, int] = Counter()
-    for m, cols in _survivors(cp, stop, free):
+    for m, cols in _survivors(cp):
         keys = [0] * m
         for col in cols:
             if col is not None:
                 keys = list(map(or_, keys, map(bit.__getitem__, col)))
         counts.update(keys)
-    for _ in range(free):
+    for _ in cp.free:
         wider: dict[int, int] = {}
         for key, c in counts.items():
             for b in bit[1:]:

@@ -1,16 +1,14 @@
 """Every coloring of a diagram, in lexicographic order, with no Python
 object per coloring.
 
-The count's search leaves partial colorings at the plan's last filter row
-(`coloring._survivors`, under the enumeration's budget). Only those are
-sorted: each becomes a fixed-width byte row over its assigned semiarcs,
-one byte per color below 256, else two, big-endian, so that the rows sort
-as bytes in numeric order. The semiarcs the digit rows after that row set
-are free: no row reads them, each is a zero-crossing component, and its
-colors are independent of the rest. They are filled in semiarc order, the
-last first. The columns after a free semiarc are built once per run of
-sorted partial colorings that agree on every semiarc before it, and tiled
-n times, once per color of the free semiarc; a bound semiarc's column
+The count's search leaves partial colorings (`coloring._survivors`,
+under the enumeration's budget). Only those are sorted: each becomes a
+fixed-width byte row over its assigned semiarcs, one byte per color below
+256, else two, big-endian, so that the rows sort as bytes in numeric
+order. The plan's free semiarcs are filled in semiarc order, the last
+first. The columns after a free semiarc are built once per run of sorted
+partial colorings that agree on every semiarc before it, and tiled n
+times, once per color of the free semiarc; a bound semiarc's column
 repeats each partial coloring's color once per coloring it completes to.
 Once the runs are single partial colorings, the columns after a free
 semiarc are built whole. With k free semiarcs the sort covers 1/n**k of
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .coloring import Column, _column_type, _count_split, _repeat, _survivors
+from .coloring import Column, _column_type, _repeat, _survivors
 from .gauss import LinkDiagram
 from .plan import _compiled_for
 from .tables import SkewBrace
@@ -40,15 +38,14 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
     """All colorings as one column of colors per semiarc, in lexicographic
     order. Raises the budget errors of `_survivors`."""
     cp = _compiled_for(brace, d)
-    stop, free = _count_split(cp)
     n, s = cp.n, cp.semiarc_count
     column = _column_type(n)
-    loose = sorted(row[1] for row in cp.plan[stop:])
+    loose = cp.free
     bound = sorted(set(range(s)).difference(loose))
     # each partial coloring as a row of w bytes per bound semiarc
     w = 1 if n < 256 else 2
     rows: list[bytes] = []
-    for m, cols in _survivors(cp, stop, free):
+    for m, cols in _survivors(cp):
         planes = [cols[j] for j in bound]
         if w == 2:
             planes = [bytes(x >> q & 255 for x in c) for c in planes for q in (8, 0)]

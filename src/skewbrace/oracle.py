@@ -13,7 +13,7 @@ from .tables import SkewBrace
 
 __all__ = ["brute_force_colorings"]
 
-_BRUTE_LIMIT = 10**7
+_BRUTE_LIMIT = 10**6
 
 
 def brute_force_colorings(

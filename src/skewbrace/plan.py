@@ -20,7 +20,13 @@ brute-solves the crossing's full relation system ahead of time and emits
 lookup rows from the precomputed tables, provided the completion is
 unique for every value combination; otherwise it spends a digit row.
 Digits are placed at the crossing with the fewest open semiarcs so each
-one unlocks as much propagation as possible. `coloring` runs the plans.
+one unlocks as much propagation as possible.
+
+The plan ends with the last crossing relation. A semiarc that no crossing
+touches, the one semiarc of a zero-crossing component, gets no row: the
+plan lists it as free. A free semiarc takes each of the n colors
+independently of every other semiarc, so each coloring the rows leave
+completes in exactly n**(free semiarcs) ways. `coloring` runs the plans.
 """
 
 from __future__ import annotations
@@ -118,24 +124,23 @@ class CompiledPlan(Record):
 
     `plan` has one tuple (kind, a, b, dst, t, mode) per step:
 
-        kind 0: digit row; try every value on semiarc a (b is the digit's
-                ordinal)
+        kind 0: digit row; try every value on semiarc a
         kind 1: relation row; v = tbl[t][vals[a]][vals[b]], then write
                 vals[dst] = v (mode 0) or drop the partial coloring unless
                 vals[dst] == v (mode 1)
 
     Colors are 1..n, as in the table files. `tbl` holds U, O, Ui, Oi and
-    then the pair-solution tables, each a `_lookup` table.
+    then the pair-solution tables, each a `_lookup` table. `free` lists
+    the free semiarcs, the ones no row sets, in ascending order.
     """
 
-    __slots__ = ("plan", "tbl", "n", "semiarc_count")
+    __slots__ = ("plan", "tbl", "n", "semiarc_count", "free")
 
 
 def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
     known = [False] * system.semiarc_count
     rows: list[tuple[int, ...]] = []
     tbl = list(_base_tables(bq))
-    digits = 0
     # per crossing: its sign, its distinct semiarcs in first-occurrence
     # order and the label of each slot among them
     crossings = []
@@ -146,7 +151,7 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
         arcs = list(dict.fromkeys(slots))
         crossings.append((c.sign, arcs, tuple(map(arcs.index, slots))))
         pending += [(ci, slots[d], t, slots[a], slots[b]) for d, t, a, b in _RELS[c.sign]]
-    while pending or not all(known):
+    while pending:
         left = []
         for rel in pending:
             _, d, t, a, b = rel
@@ -180,12 +185,15 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
                 for _, arcs, _ in crossings
                 if (o := [x for x in arcs if not known[x]])
             ]
-            v = min(tight)[1] if tight else known.index(False)
-            rows.append((0, v, digits, 0, 0, 0))
-            digits += 1
+            v = min(tight)[1]
+            rows.append((0, v, 0, 0, 0, 0))
             known[v] = True
     return CompiledPlan(
-        plan=tuple(rows), tbl=tuple(tbl), n=bq.n, semiarc_count=system.semiarc_count
+        plan=tuple(rows),
+        tbl=tuple(tbl),
+        n=bq.n,
+        semiarc_count=system.semiarc_count,
+        free=tuple(x for x, k in enumerate(known) if not k),
     )
 
 

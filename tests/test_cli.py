@@ -249,9 +249,8 @@ WIDE_UNLINK = " / ".join(["-"] * 1200)
     ids=["sb", "ideal-json", "color"],
 )
 def test_wide_links_fail_at_the_budget_at_once(argv):
-    """1200 free digit rows past the last filter row: the budget error
-    comes at once, before the search nests one chunk, each holding its
-    own frontier, per digit row."""
+    """1200 free semiarcs and no plan row: the budget error comes at
+    once, from the count of the colorings, with no search."""
     out = run_process(argv[0], bundled_brace_path("klein_z4"), WIDE_UNLINK, *argv[1:])
     assert out.returncode == 1
     assert out.stdout == ""

@@ -149,6 +149,11 @@ def test_carrier_past_a_byte_matches_brute_force(z257, code):
 def test_brute_force_limit(braces, links):
     with pytest.raises(ValueError):
         brute_force_colorings(braces["nab6"], links["trefoil"], limit=100)
+    # the default bounds what the oracle returns: every one of the 8**7
+    # assignments of a 7-component unlink is a coloring
+    unlink7 = parse_gauss_code(" / ".join(["-"] * 7))
+    with pytest.raises(ValueError, match="brute force space 2097152 exceeds limit 1000000"):
+        brute_force_colorings(braces["inv8"], unlink7)
 
 
 def test_jobs_split_is_deterministic(braces, links):

@@ -8,7 +8,7 @@ import random
 import sys
 from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,28 +47,39 @@ def has_pair_rows(brace, d) -> bool:
     return any(kind == 1 and t >= 4 for kind, _, _, _, t, _ in plan)
 
 
-def check_plan_structure(cp, crossings: int) -> None:
+def check_plan_structure(cp, system) -> None:
     """Each row reads only semiarcs that earlier rows wrote; digit and fill
-    rows write a new semiarc and filter rows none; every semiarc is
-    written, every table exists, and each crossing gives two relation
-    rows. The last relation row is a filter row, so the count and the
-    polynomials stop at the last filter."""
-    written = set()
+    rows write a new semiarc and filter rows none; every table exists, and
+    each crossing gives two relation rows. The written semiarcs and the
+    free ones, exactly those no crossing touches, partition the semiarcs.
+    A later row reads every digit row's semiarc, and a plan with rows ends
+    in a filter row."""
+    written, digits, reads = set(), [], []
     for kind, a, b, dst, t, mode in cp.plan:
         if kind == 0:
             assert a not in written
             written.add(a)
+            digits.append((len(reads), a))
+            reads.append(set())
             continue
         assert {a, b} <= written and t < len(cp.tbl)
         if mode == 0:
             assert dst not in written
             written.add(dst)
+            reads.append({a, b})
         else:
             assert dst in written
-    assert written == set(range(cp.semiarc_count))
-    assert sum(row[0] == 1 for row in cp.plan) == 2 * crossings
-    relations = [row for row in cp.plan if row[0] == 1]
-    assert not relations or relations[-1][5] == 1
+            reads.append({a, b, dst})
+    s = system.semiarc_count
+    touched = {
+        x for c in system.constraints for x in (c.under_in, c.over_in, c.under_out, c.over_out)
+    }
+    assert list(cp.free) == sorted(set(range(s)) - touched)
+    assert written.isdisjoint(cp.free) and written | set(cp.free) == set(range(s))
+    assert sum(row[0] == 1 for row in cp.plan) == 2 * len(system.constraints)
+    assert not cp.plan or cp.plan[-1][0] == 1 and cp.plan[-1][5] == 1
+    for r, x in digits:
+        assert any(x in later for later in reads[r + 1 :])
 
 
 def check_against_oracle(d) -> int:
@@ -79,7 +90,7 @@ def check_against_oracle(d) -> int:
     s = system.semiarc_count
     pair_plans = 0
     for brace in braces.values():
-        check_plan_structure(_compiled_for(brace, d), len(system.constraints))
+        check_plan_structure(_compiled_for(brace, d), system)
         if brace.n**s > ORACLE_SPACE:
             continue
         cols = enumerate_colorings(brace, d)
@@ -156,7 +167,7 @@ def reference_polynomials(name: str, d) -> tuple[Polynomial2, Polynomial1]:
 )
 @settings(max_examples=40, deadline=None)
 def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, components, pads):
-    # zero-crossing components add digit rows past the last filter row
+    # zero-crossing components add free semiarcs
     d = parse_gauss_code(random_code(rng, crossings, components) + " / -" * pads)
     s = build_constraints(d).semiarc_count
     for name, brace in braces.items():
@@ -247,8 +258,17 @@ def chunk_cases():
 
 
 def frontier_rows(cp) -> list[list[int]]:
-    """The partial colorings the whole plan leaves, block after block."""
-    return [list(row) for _, cols in coloring._frontiers(cp, len(cp.plan)) for row in zip(*cols)]
+    """The partial colorings the whole plan leaves, block after block, each
+    with every choice of colors on the free semiarcs in turn."""
+    rows = []
+    for m, cols in coloring._frontiers(cp):
+        for i in range(m):
+            for colors in product(range(1, cp.n + 1), repeat=len(cp.free)):
+                row = [None if c is None else c[i] for c in cols]
+                for x, c in zip(cp.free, colors):
+                    row[x] = c
+                rows.append(row)
+    return rows
 
 
 def test_chunked_search_matches_unchunked(monkeypatch):
@@ -256,7 +276,7 @@ def test_chunked_search_matches_unchunked(monkeypatch):
     for name, d in chunk_cases():
         brace = braces[name]
         cp = _compiled_for(brace, d)
-        assert len(list(coloring._frontiers(cp, len(cp.plan)))) <= 1
+        assert len(list(coloring._frontiers(cp))) <= 1
         whole = frontier_rows(cp)
         count = counting_invariant(brace, d)
         cols = enumerate_colorings(brace, d)
@@ -266,7 +286,7 @@ def test_chunked_search_matches_unchunked(monkeypatch):
         two_rows = 2 * brace.n * cp.semiarc_count
         monkeypatch.setattr(coloring, "_FRONTIER_CELLS", two_rows)
         assert counting_invariant(brace, d) == count
-        chunked += len(list(coloring._frontiers(cp, len(cp.plan)))) > 1
+        chunked += len(list(coloring._frontiers(cp))) > 1
         # the chunks come out in the unchunked order
         assert frontier_rows(cp) == whole
         monkeypatch.setattr(
@@ -287,7 +307,7 @@ def test_a_chunk_chain_past_the_recursion_limit(monkeypatch):
         # a digit on semiarc i, then keep vals[i - 1] == T[vals[i]][vals[i]]
         plan += [(0, i, i, 0, 0, 0), (1, i, i, i - 1, 0, 1)]
     table = _lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
-    cp = CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1)
+    cp = CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1, free=())
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 3 * (k + 1))
     assert frontier_rows(cp) == [[1] * (k + 1), [1] * k + [2], [3] * (k + 1)]
 
@@ -313,7 +333,7 @@ def test_sorted_columns_sort_the_frontier(monkeypatch):
         assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
         budget = max(2 * brace.n * cp.semiarc_count, len(whole) * cp.semiarc_count)
         monkeypatch.setattr(coloring, "_FRONTIER_CELLS", budget)
-        chunked += len(list(coloring._frontiers(cp, coloring._count_split(cp)[0]))) > 1
+        chunked += len(list(coloring._frontiers(cp))) > 1
         assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
         monkeypatch.undo()
     assert chunked >= 20
@@ -371,7 +391,8 @@ def test_budget_below_one_expansion_raises(monkeypatch):
         counting_invariant(brace, trefoil)
     with pytest.raises(SearchTooLarge):
         enumerate_colorings(brace, trefoil)
-    # no filter row at all: the digit row's error, not the colorings'
+    # no plan row at all: n * s alone passes the budget, so the error
+    # names one digit row's expansion, not the colorings
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", brace.n * 3 - 1)
     with pytest.raises(SearchTooLarge, match="partial colorings of 3 semiarcs"):
         enumerate_colorings(brace, parse_gauss_code("- / - / -"))

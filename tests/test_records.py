@@ -51,7 +51,7 @@ FIELDS = {
     LinkDiagram: ("components",),
     CrossingConstraint: ("crossing", "sign", "under_in", "over_in", "under_out", "over_out"),
     SemiarcSystem: ("semiarc_count", "constraints"),
-    CompiledPlan: ("plan", "tbl", "n", "semiarc_count"),
+    CompiledPlan: ("plan", "tbl", "n", "semiarc_count", "free"),
     Polynomial2: ("terms",),
     Polynomial1: ("terms",),
     ExponentProfile: ("uniform", "counterexamples"),
