@@ -36,9 +36,6 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-_JOBS_HELP = "accepted for compatibility; has no effect"
-
-
 class _UsageError(Exception):
     pass
 
@@ -188,7 +185,6 @@ def _cmd_batch(args) -> int:
 # value, a tuple of choices, or the converter argparse also uses as `type`
 _LINK_OPTIONS = {
     "--name": (None, str, "link name when the link argument is a file"),
-    "--jobs": (None, int, _JOBS_HELP),
 }
 _BRACE = ("brace", None)
 _LINK = ("link", "link file or inline Gauss code")
@@ -216,7 +212,7 @@ _COMMANDS = {
     "batch": (
         "all invariants for every link in a file",
         [_BRACE, ("linkfile", None)],
-        {"--jobs": _LINK_OPTIONS["--jobs"]},
+        {},
     ),
 }
 

@@ -79,16 +79,6 @@ def _repeat(col: Column, n: int) -> Column:
     return out
 
 
-def _too_large(n: int, s: int) -> SearchTooLarge:
-    """The budget error of a search over n colors and s semiarcs: one digit
-    row's expansion when n * s alone passes the budget, else the colorings."""
-    if n * s > _FRONTIER_CELLS:
-        what = f"{n} partial colorings of {s} semiarcs pass the frontier budget"
-    else:
-        what = f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs pass the budget"
-    return SearchTooLarge(f"{what} of {_FRONTIER_CELLS} cells")
-
-
 def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
     """Run the plan breadth first; yield the surviving partial colorings
     as blocks (m, columns) in digit order, with None for a free
@@ -107,7 +97,10 @@ def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
             if kind == 0:
                 if m > step:
                     if step == 0:
-                        raise _too_large(n, s)
+                        raise SearchTooLarge(
+                            f"{n} partial colorings of {s} semiarcs pass the"
+                            f" frontier budget of {_FRONTIER_CELLS} cells"
+                        )
                     # each chunk passes this row within budget
                     for lo in reversed(range(0, m, step)):
                         chunk = [None if c is None else c[lo : lo + step] for c in cols]
@@ -133,8 +126,9 @@ def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
 
 def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> int:
     """Number of colorings, without materializing them: the partial
-    colorings the plan leaves, each times n per free semiarc. `jobs` is
-    accepted for compatibility and has no effect.
+    colorings the plan leaves, each times n per free semiarc. `jobs` has
+    no effect; `perfbench/traced_job.py` passes it, so it goes with the
+    next benchmark change (ROADMAP item 1).
     """
     cp = _compiled_for(brace, d)
     return sum(m for m, _ in _frontiers(cp)) * cp.n ** len(cp.free)
@@ -151,7 +145,10 @@ def _survivors(cp: CompiledPlan) -> Iterator[Block]:
     for m, cols in _frontiers(cp):
         found += m
         if found * cells > _FRONTIER_CELLS:
-            raise _too_large(n, s)
+            raise SearchTooLarge(
+                f"more than {_FRONTIER_CELLS // s} colorings of {s} semiarcs"
+                f" pass the budget of {_FRONTIER_CELLS} cells"
+            )
         yield m, cols
 
 
@@ -181,14 +178,11 @@ def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
     return counts
 
 
-def enumerate_colorings(
-    brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
-) -> list[Coloring]:
+def enumerate_colorings(brace: SkewBrace, d: LinkDiagram) -> list[Coloring]:
     """All colorings as 1-based semiarc tuples, in lexicographic order.
 
     Raises SearchTooLarge when the colorings would take more than
-    `_FRONTIER_CELLS` cells. `jobs` is accepted for compatibility and has
-    no effect.
+    `_FRONTIER_CELLS` cells.
     """
     from .enumeration import sorted_columns
 

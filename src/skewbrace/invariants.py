@@ -128,9 +128,7 @@ def _image_profile(brace: SkewBrace, colors: int) -> tuple[int, int, int]:
     )
 
 
-def both_polynomials(
-    brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
-) -> tuple[Polynomial2, Polynomial1]:
+def both_polynomials(brace: SkewBrace, d: LinkDiagram) -> tuple[Polynomial2, Polynomial1]:
     """Both enhancements from one coloring search.
 
     Colorings that use the same set of colors share one monomial, so the
@@ -140,8 +138,7 @@ def both_polynomials(
     and star-group closure sizes feeding the two-variable polynomial and
     the ideal closure size the one-variable one. Each distinct set is
     measured once through a bounded cache keyed by (brace, color set).
-    Raises the enumeration's SearchTooLarge past the same budget. `jobs`
-    is accepted for compatibility and has no effect.
+    Raises the enumeration's SearchTooLarge past the same budget.
     """
     terms2: dict[tuple[int, int], int] = {}
     terms1: dict[int, int] = {}
@@ -152,16 +149,16 @@ def both_polynomials(
     return Polynomial2(terms2), Polynomial1(terms1)
 
 
-def sb_polynomial(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> Polynomial2:
+def sb_polynomial(brace: SkewBrace, d: LinkDiagram) -> Polynomial2:
     """Two-variable enhancement: each coloring contributes u^a v^b where a
     and b are the sizes of the circ- and star-group closures of its image."""
-    return both_polynomials(brace, d, jobs=jobs)[0]
+    return both_polynomials(brace, d)[0]
 
 
-def ideal_polynomial(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None) -> Polynomial1:
+def ideal_polynomial(brace: SkewBrace, d: LinkDiagram) -> Polynomial1:
     """One-variable enhancement: each coloring contributes u^a where a is
     the size of the ideal closure of its image."""
-    return both_polynomials(brace, d, jobs=jobs)[1]
+    return both_polynomials(brace, d)[1]
 
 
 def specialize(p: Polynomial2 | Polynomial1) -> int:
@@ -191,7 +188,6 @@ def move_invariance_trials(
     trials: int,
     seed: int,
     max_moves: int = 3,
-    jobs: int | None = None,
 ) -> MoveTrialResult:
     """Compare both polynomials across seeded random move rewrites of d."""
     import random
@@ -199,11 +195,11 @@ def move_invariance_trials(
     from .moves import random_diagram_walk
 
     rng = random.Random(seed)
-    base_sb, base_ideal = both_polynomials(brace, d, jobs=jobs)
+    base_sb, base_ideal = both_polynomials(brace, d)
     first_mismatch = mismatch_code = None
     for t in range(trials):
         moved = random_diagram_walk(d, rng, max_moves=max_moves)
-        if both_polynomials(brace, moved, jobs=jobs) != (base_sb, base_ideal):
+        if both_polynomials(brace, moved) != (base_sb, base_ideal):
             first_mismatch, mismatch_code = t, format_gauss_code(moved)
             break
     return MoveTrialResult(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import skewbrace
 from skewbrace import build_constraints, enumerate_colorings, format_brace_file, parse_gauss_code
 from skewbrace.bundled import bundled_brace_path, bundled_links_path
 from skewbrace import cli
@@ -339,6 +341,24 @@ def test_jobs_variable_is_ignored():
     assert (out.returncode, out.stdout, out.stderr) == (0, plain.stdout, plain.stderr)
 
 
+def test_only_the_benchmark_pinned_count_takes_jobs():
+    """`jobs` had no effect; only `counting_invariant` keeps it, since
+    `perfbench/traced_job.py` passes it, and no command takes `--jobs`."""
+    with_jobs = []
+    for name in skewbrace.__all__:
+        obj = getattr(skewbrace, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # an exception class has no signature
+            continue
+        if "jobs" in params:
+            with_jobs.append(name)
+    assert with_jobs == ["counting_invariant"]
+    assert [c for c, (_, _, options) in cli._COMMANDS.items() if "--jobs" in options] == []
+
+
 def test_link_file_requires_name_when_ambiguous(capsys):
     code, _, err = run(capsys, "invariant", NAB6, LINKS)
     assert code == 2
@@ -412,8 +432,8 @@ options:
   -h, --help            show this help message and exit
 """
 INVARIANT_USAGE = """\
-usage: skewbrace invariant [-h] [--name NAME] [--jobs JOBS]
-                           [--type {count,sb,ideal}] [--json]
+usage: skewbrace invariant [-h] [--name NAME] [--type {count,sb,ideal}]
+                           [--json]
                            brace link
 """
 INVARIANT_HELP = INVARIANT_USAGE + """
@@ -424,7 +444,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --name NAME           link name when the link argument is a file
-  --jobs JOBS           accepted for compatibility; has no effect
   --type {count,sb,ideal}
   --json
 """
@@ -434,8 +453,8 @@ usage: skewbrace [-h]
                  ...
 """
 CHECK_MOVES_USAGE = """\
-usage: skewbrace check-moves [-h] [--name NAME] [--jobs JOBS]
-                             [--trials TRIALS] [--seed SEED]
+usage: skewbrace check-moves [-h] [--name NAME] [--trials TRIALS]
+                             [--seed SEED]
                              brace link
 """
 
@@ -467,6 +486,12 @@ usage: skewbrace check-moves [-h] [--name NAME] [--jobs JOBS]
             TOP_USAGE + "skewbrace: error: unrecognized arguments: --bogus\n",
         ),
         (
+            ("invariant", NAB6, "-", "--jobs", "2"),
+            2,
+            "",
+            TOP_USAGE + "skewbrace: error: unrecognized arguments: --jobs 2\n",
+        ),
+        (
             ("check-moves", NAB6, "-", "--seed", "x"),
             2,
             "",
@@ -474,7 +499,10 @@ usage: skewbrace check-moves [-h] [--name NAME] [--jobs JOBS]
             + "skewbrace check-moves: error: argument --seed: invalid int value: 'x'\n",
         ),
     ],
-    ids=["help", "invariant-help", "bad-type", "missing-link", "unknown-option", "bad-seed"],
+    ids=[
+        "help", "invariant-help", "bad-type", "missing-link", "unknown-option", "no-jobs",
+        "bad-seed",
+    ],
 )
 def test_help_and_usage_texts(argv, code, out, err):
     """argparse writes every help, usage and error text, as it always has."""

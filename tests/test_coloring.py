@@ -156,10 +156,9 @@ def test_brute_force_limit(braces, links):
         brute_force_colorings(braces["inv8"], unlink7)
 
 
-def test_jobs_split_is_deterministic(braces, links):
-    for jobs in (1, 2, 7):
-        cols = enumerate_colorings(braces["dih8"], links["unlink2"], jobs=jobs)
-        assert cols == enumerate_colorings(braces["dih8"], links["unlink2"])
+def test_benchmark_pins_the_count_jobs_keyword(braces, links):
+    # perfbench/traced_job.py times counting_invariant(..., jobs=2); the
+    # keyword has no effect and goes with the next benchmark change
     assert counting_invariant(braces["dih8"], links["vhopf"], jobs=5) == 48
 
 

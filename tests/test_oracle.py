@@ -370,10 +370,18 @@ def test_budget_errors_read_the_same(monkeypatch):
     its frontier."""
     dih8, nab6 = braces["dih8"], braces["nab6"]
     unlink3, trefoil = parse_gauss_code("- / - / -"), bundled_links()["trefoil"]
+    # the trefoil's first digit row would make 8 partial colorings of 6
+    # semiarcs, 48 cells, so every search stops there, the count too
+    monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 8 * 6 - 1)
+    partial = "8 partial colorings of 6 semiarcs pass the frontier budget of 47 cells"
+    assert budget_error(enumerate_colorings, dih8, trefoil) == partial
+    assert budget_error(both_polynomials, dih8, trefoil) == partial
+    assert budget_error(counting_invariant, dih8, trefoil) == partial
+    # the unlink's plan has no row, so only its 512 colorings pass the budget
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 8 * 3 - 1)
-    partial = "8 partial colorings of 3 semiarcs pass the frontier budget of 23 cells"
-    assert budget_error(enumerate_colorings, dih8, unlink3) == partial
-    assert budget_error(both_polynomials, dih8, unlink3) == partial
+    few = "more than 7 colorings of 3 semiarcs pass the budget of 23 cells"
+    assert budget_error(enumerate_colorings, dih8, unlink3) == few
+    assert budget_error(both_polynomials, dih8, unlink3) == few
     assert counting_invariant(dih8, unlink3) == 512
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 71)
     many = "more than 11 colorings of 6 semiarcs pass the budget of 71 cells"
@@ -391,10 +399,10 @@ def test_budget_below_one_expansion_raises(monkeypatch):
         counting_invariant(brace, trefoil)
     with pytest.raises(SearchTooLarge):
         enumerate_colorings(brace, trefoil)
-    # no plan row at all: n * s alone passes the budget, so the error
-    # names one digit row's expansion, not the colorings
+    # no plan row at all: nothing expands, so the error names the
+    # colorings, though n * s alone passes the budget
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", brace.n * 3 - 1)
-    with pytest.raises(SearchTooLarge, match="partial colorings of 3 semiarcs"):
+    with pytest.raises(SearchTooLarge, match="more than 5 colorings of 3 semiarcs"):
         enumerate_colorings(brace, parse_gauss_code("- / - / -"))
 
 
