@@ -40,16 +40,16 @@ _EXPORTS = {
     "derive_biquandle": "biquandle",
     "derived_biquandle": "plan",
     "verify_biquandle_axioms": "biquandle",
-    "yb_map": "biquandle",
-    "yb_map_inverse": "biquandle",
-    "r_map": "biquandle",
+    "yb_map": "properties",
+    "yb_map_inverse": "properties",
+    "r_map": "properties",
     "is_involutive": "axioms",
-    "EmptyGenerators": "closures",
-    "group_closure": "closures",
-    "biquandle_closure": "closures",
-    "ideal_closure": "closures",
-    "is_ideal": "closures",
-    "enumerate_ideals": "closures",
+    "EmptyGenerators": "substructures",
+    "group_closure": "substructures",
+    "biquandle_closure": "substructures",
+    "ideal_closure": "substructures",
+    "is_ideal": "substructures",
+    "enumerate_ideals": "substructures",
     "LinkDiagram": "gauss",
     "SemiarcSystem": "gauss",
     "GaussCodeError": "gauss",
@@ -72,12 +72,12 @@ _EXPORTS = {
     "SearchTooLarge": "coloring",
     "Polynomial2": "invariants",
     "Polynomial1": "invariants",
-    "ExponentProfile": "invariants",
+    "ExponentProfile": "properties",
     "sb_polynomial": "invariants",
     "ideal_polynomial": "invariants",
     "both_polynomials": "invariants",
-    "specialize": "invariants",
-    "exponent_profile": "invariants",
+    "specialize": "properties",
+    "exponent_profile": "properties",
     "move_invariance_trials": "invariants",
     "bundled_brace_names": "bundled",
     "load_bundled_brace": "bundled",

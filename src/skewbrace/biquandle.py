@@ -27,9 +27,6 @@ __all__ = [
     "AxiomReport",
     "derive_biquandle",
     "verify_biquandle_axioms",
-    "yb_map",
-    "yb_map_inverse",
-    "r_map",
 ]
 
 class AxiomViolation(DomainError):
@@ -182,29 +179,3 @@ def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
     ]
     checks.extend(_check_exchange(u, o))
     return AxiomReport(checks=tuple(checks))
-
-
-def yb_map(bq: Biquandle, x: int, y: int) -> tuple[int, int]:
-    """S(x,y) = (y |> x, x <| y)."""
-    return bq.over.value(y, x), bq.under.value(x, y)
-
-
-def yb_map_inverse(bq: Biquandle, x: int, y: int) -> tuple[int, int]:
-    """Closed-form inverse of S; requires the originating brace.
-
-    S^-1(x,y) = (w^circ, w^circ circ x circ y^circ) with w = (x circ y^circ) star x^star.
-    """
-    if bq.brace is None:
-        raise ValueError("yb_map_inverse needs a biquandle derived from a brace")
-    br = bq.brace
-    circ, star = br.circ, br.star
-    w = star.op(circ.op(x, circ.inv(y)), star.inv(x))
-    p = circ.inv(w)
-    return p, circ.op(circ.op(p, x), circ.inv(y))
-
-
-def r_map(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
-    """r(x,y) = (a, a^circ circ x circ y) with a = x^star star (x circ y)."""
-    circ, star = brace.circ, brace.star
-    a = star.op(star.inv(x), circ.op(x, y))
-    return a, circ.op(circ.op(circ.inv(a), x), y)

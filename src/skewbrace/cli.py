@@ -110,7 +110,7 @@ def _cmd_biquandle(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    from .closures import enumerate_ideals
+    from .substructures import enumerate_ideals
 
     brace = _load_brace(args.brace)
     for ideal in enumerate_ideals(brace):

@@ -20,13 +20,10 @@ from .tables import Record, SkewBrace
 __all__ = [
     "Polynomial2",
     "Polynomial1",
-    "ExponentProfile",
     "MoveTrialResult",
     "sb_polynomial",
     "ideal_polynomial",
     "both_polynomials",
-    "specialize",
-    "exponent_profile",
     "move_invariance_trials",
 ]
 
@@ -159,21 +156,6 @@ def ideal_polynomial(brace: SkewBrace, d: LinkDiagram) -> Polynomial1:
     """One-variable enhancement: each coloring contributes u^a where a is
     the size of the ideal closure of its image."""
     return both_polynomials(brace, d)[1]
-
-
-def specialize(p: Polynomial2 | Polynomial1) -> int:
-    """Sum of coefficients, the value at u = v = 1."""
-    return p.specialize()
-
-
-class ExponentProfile(Record):
-    __slots__ = ("uniform", "counterexamples")
-
-
-def exponent_profile(p: Polynomial2) -> ExponentProfile:
-    """Report whether every term has equal u- and v-exponents."""
-    bad = tuple((a, b) for a, b, _ in p.sorted_terms() if a != b)
-    return ExponentProfile(uniform=not bad, counterexamples=bad)
 
 
 class MoveTrialResult(Record):

@@ -138,6 +138,10 @@ class CompiledPlan(Record):
 
 
 def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
+    # no tuple here comes from `tuple()` of a generator or a map: that
+    # allocates a spare tuple and shrinks it, so the tuple misses the free
+    # list when made but joins it when freed, and over a walk of many
+    # diagrams the free lists would grow to their cap of 2,000 each
     known = [False] * system.semiarc_count
     rows: list[tuple[int, ...]] = []
     tbl = list(_base_tables(bq))
@@ -149,7 +153,7 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
     for ci, c in enumerate(system.constraints):
         slots = (c.under_in, c.over_in, c.under_out, c.over_out)
         arcs = list(dict.fromkeys(slots))
-        crossings.append((c.sign, arcs, tuple(map(arcs.index, slots))))
+        crossings.append((c.sign, arcs, tuple([arcs.index(x) for x in slots])))
         pending += [(ci, slots[d], t, slots[a], slots[b]) for d, t, a, b in _RELS[c.sign]]
     while pending:
         left = []
@@ -168,7 +172,7 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
             continue
         for ci in dict.fromkeys(rel[0] for rel in pending):
             sign, arcs, labels = crossings[ci]
-            kp = tuple(known[x] for x in arcs)
+            kp = tuple([known[x] for x in arcs])
             if kp.count(False) == 2 and any(kp) and (hit := _pair_solution(bq, sign, labels, kp)):
                 # each pair row reads the two known semiarcs, or the one twice
                 given = [x for x in arcs if known[x]]
@@ -193,7 +197,7 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
         tbl=tuple(tbl),
         n=bq.n,
         semiarc_count=system.semiarc_count,
-        free=tuple(x for x, k in enumerate(known) if not k),
+        free=tuple([x for x, k in enumerate(known) if not k]),
     )
 
 

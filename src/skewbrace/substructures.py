@@ -1,0 +1,130 @@
+"""Closures of subsets and the ideals of a skew brace.
+
+Subsets come in as any iterable of 1-based elements and go out as
+frozensets; the ambient structure is passed alongside rather than stored.
+Each closure converts its subset to a bitmask and runs the kernel in
+`closures`. The ideals are enumerated over the same masks, by joining
+ideal closures of singletons; `is_ideal` checks the conditions directly
+and is the independent oracle.
+
+Only `skewbrace ideals` imports this module, so no link command compiles
+it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .closures import (
+    _biquandle_mask,
+    _fixpoint,
+    _group_mask,
+    _ideal_mask,
+    _ideal_pairs,
+    _members,
+)
+from .tables import FiniteGroup, SkewBrace, _index
+
+if TYPE_CHECKING:
+    from .biquandle import Biquandle
+
+__all__ = [
+    "EmptyGenerators",
+    "group_closure",
+    "biquandle_closure",
+    "ideal_closure",
+    "is_ideal",
+    "enumerate_ideals",
+]
+
+Subset = frozenset[int]
+
+
+class EmptyGenerators(ValueError):
+    def __init__(self) -> None:
+        super().__init__("closure of the empty set is not defined")
+
+
+def _require_nonempty(s) -> set[int]:
+    out = set(s)
+    if not out:
+        raise EmptyGenerators()
+    return out
+
+
+def _to_mask(s, n: int) -> int:
+    m = 0
+    for x in _require_nonempty(s):
+        m |= 1 << _index(x, n)
+    return m
+
+
+def _from_mask(m: int) -> Subset:
+    return frozenset(x + 1 for x in _members(m))
+
+
+def group_closure(group: FiniteGroup, s) -> Subset:
+    """Smallest subset containing s closed under the group operation.
+
+    Inverses and the identity come for free in a finite group.
+    """
+    return _from_mask(_group_mask(group, _to_mask(s, group.n)))
+
+
+def biquandle_closure(bq: Biquandle, s) -> Subset:
+    """Smallest superset of s closed under the under and over operations."""
+    return _from_mask(_biquandle_mask(bq, _to_mask(s, bq.n)))
+
+
+def ideal_closure(brace: SkewBrace, s) -> Subset:
+    """Smallest superset of s satisfying the four ideal closure conditions.
+
+    Always contains the identity, since y^circ circ y = e.
+    """
+    return _from_mask(_ideal_mask(brace, _to_mask(s, brace.n)))
+
+
+def is_ideal(brace: SkewBrace, s) -> bool:
+    """Direct check of the ideal conditions for a nonempty subset."""
+    members = _require_nonempty(s)
+    circ, star = brace.circ, brace.star
+    for x in members:
+        for y in members:
+            if circ.op(circ.inv(y), x) not in members:
+                return False
+        for z in range(1, brace.n + 1):
+            if star.op(star.op(star.inv(z), x), z) not in members:
+                return False
+            if circ.op(circ.op(circ.inv(z), x), z) not in members:
+                return False
+            if star.op(star.inv(z), circ.op(z, x)) not in members:
+                return False
+    return True
+
+
+def _sort_key(s: Subset):
+    return (len(s), tuple(sorted(s)))
+
+
+def enumerate_ideals(brace: SkewBrace) -> list[Subset]:
+    """All nonempty ideals, ascending by size then lexicographically.
+
+    Every ideal is the ideal closure of the union of its members'
+    singleton closures, so a worklist that joins each ideal found with
+    each singleton closure reaches all of them at any carrier size. The
+    empty set vacuously satisfies the conditions but is excluded; the
+    output always includes {e} and the full carrier.
+    """
+    pair = _ideal_pairs(brace)
+    singles = {_fixpoint(pair, 1 << x) for x in range(brace.n)}
+    found = set(singles)
+    work = list(singles)
+    while work:
+        m = work.pop()
+        for s in singles:
+            if s & ~m:
+                j = _fixpoint(pair, m | s)
+                if j not in found:
+                    found.add(j)
+                    work.append(j)
+    return sorted(map(_from_mask, found), key=_sort_key)

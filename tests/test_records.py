@@ -28,15 +28,14 @@ from skewbrace.gauss import (
     build_constraints,
 )
 from skewbrace.invariants import (
-    ExponentProfile,
     MoveTrialResult,
     Polynomial1,
     Polynomial2,
     both_polynomials,
-    exponent_profile,
     move_invariance_trials,
 )
 from skewbrace.plan import CompiledPlan, _compile
+from skewbrace.properties import ExponentProfile, exponent_profile
 from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace
 
 # every record class with its constructor's field names, in order

@@ -47,6 +47,19 @@ def test_import_loads_no_submodule_and_no_numpy():
 BRACE = {"tables", "axioms", "bracefile"}
 COLORING = BRACE | {"biquandle", "gauss", "plan", "coloring"}
 POLYNOMIALS = COLORING | {"closures", "invariants"}
+# the modules of the library's own code, with the public names each
+# defines: no link command loads them, since every module a job loads adds
+# the code it keeps to the job's peak RSS
+LIBRARY_ONLY = {
+    "properties": [
+        "r_map", "yb_map", "yb_map_inverse", "specialize", "ExponentProfile", "exponent_profile",
+    ],
+    "substructures": [
+        "EmptyGenerators", "group_closure", "biquandle_closure", "ideal_closure", "is_ideal",
+        "enumerate_ideals",
+    ],
+    "oracle": ["brute_force_colorings"],
+}
 
 
 @pytest.mark.parametrize(
@@ -54,7 +67,7 @@ POLYNOMIALS = COLORING | {"closures", "invariants"}
     [
         (["validate", NAB6], BRACE),
         (["biquandle", NAB6], BRACE | {"biquandle"}),
-        (["ideals", NAB6], BRACE | {"closures"}),
+        (["ideals", NAB6], BRACE | {"closures", "substructures"}),
         (["color", NAB6, "O1+ / U1+"], COLORING | {"enumeration"}),
         (["invariant", NAB6, "O1+ / U1+"], COLORING),
         (["invariant", NAB6, "O1+ / U1+", "--json"], COLORING),
@@ -142,6 +155,17 @@ MODULES = ["skewbrace", *(f"skewbrace.{m}" for m in SUBMODULES)]
 SLOW_STDLIB = "('dataclasses' in sys.modules, 'inspect' in sys.modules)"
 
 
+def test_library_only_names_resolve_from_their_modules():
+    """Every name that no link command runs still resolves as
+    `skewbrace.<name>`, from its library-only module."""
+    names = [name for names in LIBRARY_ONLY.values() for name in names]
+    homes = python(
+        "import skewbrace\n"
+        f"print([getattr(skewbrace, name).__module__ for name in {names!r}])"
+    )
+    assert homes == [f"skewbrace.{m}" for m, names in LIBRARY_ONLY.items() for _ in names]
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=COMMAND_IDS)
 def test_only_coloring_commands_load_numpy(argv):
     """No command loads numpy, the coloring commands included."""
@@ -210,7 +234,9 @@ def test_the_running_cli_is_not_compiled_again(argv):
 # with no bytecode cache every job compiles its modules from source, and
 # compiling one holds about 400 B per AST node until it is done; malloc
 # keeps that high-water mark, so a job's peak RSS grows with the largest
-# module it compiles
+# module it compiles. It grows with every module it loads too, by the code
+# that module keeps, which is why LIBRARY_ONLY code lives off the link
+# commands' paths
 MAX_NODES = 1500
 
 
