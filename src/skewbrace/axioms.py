@@ -4,8 +4,9 @@ tables.
 Each check reports the first counterexample in row-major scan order, so
 error fixtures are deterministic. Every check is plain Python, one row at
 a time over 0-based row tuples: at the sizes of a brace census an n^3 scan
-is a few thousand triples, cheaper than importing numpy. `biquandle`
-builds its tables with the same row helpers.
+is a few thousand triples, cheaper than importing numpy. `_zero_based`
+is a brace's 0-based view, which `biquandle` and `closures` build their
+tables from.
 """
 
 from __future__ import annotations
@@ -28,8 +29,22 @@ from .tables import (
 __all__ = ["validate_group", "validate_skew_brace", "is_star_commutative", "is_involutive"]
 
 
-def _zero_based_rows(table: OperationTable) -> list[tuple[int, ...]]:
+Rows = list[tuple[int, ...]]  # 0-based
+
+
+def _zero_based_rows(table: OperationTable) -> Rows:
     return [tuple([v - 1 for v in row]) for row in table.rows]
+
+
+def _zero_based(brace: SkewBrace) -> tuple[Rows, Rows, list[int], list[int]]:
+    """A brace's circ rows, star rows, circ inverses and star inverses,
+    all 0-based."""
+    return (
+        _zero_based_rows(brace.circ.table),
+        _zero_based_rows(brace.star.table),
+        [v - 1 for v in brace.circ.inverse],
+        [v - 1 for v in brace.star.inverse],
+    )
 
 
 def _gather(index: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -42,7 +57,7 @@ def _first_difference(left: Sequence[int], right: Sequence[int]) -> int:
     return next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
 
 
-def _check_associative(t: list[tuple[int, ...]], table_name: str) -> None:
+def _check_associative(t: Rows, table_name: str) -> None:
     # (x op y) op z against x op (y op z), one row over z per (x, y)
     by_row = [_gather(ty) for ty in t]
     for x, tx in enumerate(t):
@@ -90,9 +105,8 @@ def validate_skew_brace(circ: OperationTable, star: OperationTable) -> SkewBrace
     if g_circ.identity != g_star.identity:
         raise IdentityMismatch(g_circ.identity, g_star.identity)
 
-    c = _zero_based_rows(circ)
-    s = _zero_based_rows(star)
-    sinv = _inverse_map(g_star)
+    brace = SkewBrace(n=circ.n, circ=g_circ, star=g_star)
+    c, s, _, sinv = _zero_based(brace)
     by_star_row = [_gather(sy) for sy in s]
     for x, cx in enumerate(c):
         by_cx = _gather(cx)
@@ -103,7 +117,7 @@ def validate_skew_brace(circ: OperationTable, star: OperationTable) -> SkewBrace
             if lhs != rhs:
                 z = _first_difference(lhs, rhs)
                 raise DistributiveLawFails(x + 1, y + 1, z + 1)
-    return SkewBrace(n=circ.n, circ=g_circ, star=g_star)
+    return brace
 
 
 def is_star_commutative(brace: SkewBrace) -> bool:
@@ -111,17 +125,9 @@ def is_star_commutative(brace: SkewBrace) -> bool:
     return tuple(zip(*rows)) == rows
 
 
-def _inverse_map(group: FiniteGroup) -> list[int]:
-    """0-based inverses."""
-    return [v - 1 for v in group.inverse]
-
-
 def is_involutive(brace: SkewBrace) -> bool:
     """True iff r composed with itself is the identity on all pairs."""
-    c0 = _zero_based_rows(brace.circ.table)
-    s0 = _zero_based_rows(brace.star.table)
-    cinv0 = _inverse_map(brace.circ)
-    sinv0 = _inverse_map(brace.star)
+    c0, s0, cinv0, sinv0 = _zero_based(brace)
     xs = range(brace.n)
     # a[x][y] = x^star star (x circ y); b[x][y] = a^circ circ x circ y
     a = [[s0[sinv0[x]][v] for v in c0[x]] for x in xs]

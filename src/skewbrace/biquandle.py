@@ -11,13 +11,14 @@ with right inverses
     x over_inv y  = y^star star (y circ x)
 
 where ^circ and ^star denote group inverses. The four tables are built
-and their axioms checked in plain Python over 0-based row lists, as in
-`axioms`; numpy is not imported here.
+from the brace's 0-based view (`axioms._zero_based`) and their axioms
+checked in plain Python on those rows before they become 1-based
+`OperationTable`s; numpy is not imported here.
 """
 
 from __future__ import annotations
 
-from .axioms import _first_difference, _gather, _inverse_map, _zero_based_rows
+from .axioms import Rows, _first_difference, _gather, _zero_based, _zero_based_rows
 from .tables import DomainError, OperationTable, Record, SkewBrace
 
 __all__ = [
@@ -37,10 +38,9 @@ class AxiomViolation(DomainError):
 
 
 class Biquandle(Record):
-    """Four operation tables; brace is kept when the tables were derived."""
+    """Four operation tables on one carrier."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv", "brace")
-    _defaults = (None,)
+    __slots__ = ("n", "under", "over", "under_inv", "over_inv")
 
 
 class AxiomCheck(Record):
@@ -73,31 +73,19 @@ def derive_biquandle(brace: SkewBrace) -> Biquandle:
     never trigger it.
     """
     n = brace.n
-    c0 = _zero_based_rows(brace.circ.table)
-    s0 = _zero_based_rows(brace.star.table)
-    cinv0 = _inverse_map(brace.circ)
-    sinv0 = _inverse_map(brace.star)
+    c, s, ci, si = _zero_based(brace)
     xs = range(n)
-
-    def table(value) -> OperationTable:
-        return OperationTable(n, [[value(x, y) + 1 for y in xs] for x in xs])
-
-    bq = Biquandle(
-        n=n,
-        under=table(lambda x, y: c0[cinv0[y]][s0[x][y]]),
-        over=table(lambda x, y: c0[cinv0[y]][s0[y][x]]),
-        under_inv=table(lambda x, y: s0[c0[y][x]][sinv0[y]]),
-        over_inv=table(lambda x, y: s0[sinv0[y]][c0[y][x]]),
-        brace=brace,
+    rows = (
+        [tuple([c[ci[y]][s[x][y]] for y in xs]) for x in xs],   # under
+        [tuple([c[ci[y]][s[y][x]] for y in xs]) for x in xs],   # over
+        [tuple([s[c[y][x]][si[y]] for y in xs]) for x in xs],   # under_inv
+        [tuple([s[si[y]][c[y][x]] for y in xs]) for x in xs],   # over_inv
     )
-    report = verify_biquandle_axioms(bq)
+    report = _report(*rows)
     if not report.passed:
         bad = report.failures[0]
         raise AxiomViolation(bad.name, bad.witness or ())
-    return bq
-
-
-Rows = list[tuple[int, ...]]  # 0-based
+    return Biquandle(n, *(OperationTable(n, [[v + 1 for v in r] for r in t]) for t in rows))
 
 
 def _check_fixed_point(u: Rows, o: Rows) -> AxiomCheck:
@@ -162,16 +150,7 @@ def _check_exchange(u: Rows, o: Rows) -> list[AxiomCheck]:
     ]
 
 
-def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
-    """Exhaustively check all biquandle axioms on arbitrary four tables.
-
-    Failures are report content, never exceptions, so corrupted tables can
-    be inspected. Witnesses are the first counterexample in row-major order.
-    """
-    u = _zero_based_rows(bq.under)
-    o = _zero_based_rows(bq.over)
-    ui = _zero_based_rows(bq.under_inv)
-    oi = _zero_based_rows(bq.over_inv)
+def _report(u: Rows, o: Rows, ui: Rows, oi: Rows) -> AxiomReport:
     checks = [
         _check_fixed_point(u, o),
         _check_right_invertible(u, o, ui, oi),
@@ -179,3 +158,12 @@ def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
     ]
     checks.extend(_check_exchange(u, o))
     return AxiomReport(checks=tuple(checks))
+
+
+def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
+    """Exhaustively check all biquandle axioms on arbitrary four tables.
+
+    Failures are report content, never exceptions, so corrupted tables can
+    be inspected. Witnesses are the first counterexample in row-major order.
+    """
+    return _report(*map(_zero_based_rows, (bq.under, bq.over, bq.under_inv, bq.over_inv)))

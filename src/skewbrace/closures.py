@@ -22,6 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from .axioms import _zero_based
 from .tables import FiniteGroup, OperationTable, SkewBrace
 
 if TYPE_CHECKING:
@@ -78,27 +79,17 @@ def _biquandle_pairs(under: OperationTable, over: OperationTable) -> Pairs:
 
 @lru_cache(maxsize=64)
 def _ideal_pairs(brace: SkewBrace) -> Pairs:
-    n = brace.n
-    circ = brace.circ.table.rows
-    star = brace.star.table.rows
-    ci = [brace.circ.inv(z + 1) - 1 for z in range(n)]
-    si = [brace.star.inv(z + 1) - 1 for z in range(n)]
-
-    def c(x: int, y: int) -> int:
-        return circ[x][y] - 1
-
-    def s(x: int, y: int) -> int:
-        return star[x][y] - 1
-
+    c, s, ci, si = _zero_based(brace)
+    xs = range(brace.n)
     # y^circ circ x
-    pair = [[1 << c(ci[y], x) for y in range(n)] for x in range(n)]
+    pair = [[1 << c[ci[y]][x] for y in xs] for x in xs]
     # the conditions on x alone go on the diagonal, since (x, x) is a pair
     # of every mask that holds x
-    for x in range(n):
-        for z in range(n):
-            pair[x][x] |= 1 << s(s(si[z], x), z)     # z^star star x star z
-            pair[x][x] |= 1 << c(c(ci[z], x), z)     # z^circ circ x circ z
-            pair[x][x] |= 1 << s(si[z], c(z, x))     # z^star star (z circ x)
+    for x in xs:
+        for z in xs:
+            pair[x][x] |= 1 << s[s[si[z]][x]][z]     # z^star star x star z
+            pair[x][x] |= 1 << c[c[ci[z]][x]][z]     # z^circ circ x circ z
+            pair[x][x] |= 1 << s[si[z]][c[z][x]]     # z^star star (z circ x)
     return pair
 
 

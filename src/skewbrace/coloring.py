@@ -68,11 +68,6 @@ def _column_type(n: int) -> Callable[..., Column]:
 
 def _repeat(col: Column, n: int) -> Column:
     """A new column with each entry of `col` repeated n times in a row."""
-    if len(col) < n:
-        out = col[:0]
-        for i in range(len(col)):
-            out += col[i : i + 1] * n
-        return out
     out = col * n
     for k in range(n):
         out[k::n] = col

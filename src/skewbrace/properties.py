@@ -32,15 +32,12 @@ def yb_map(bq: Biquandle, x: int, y: int) -> tuple[int, int]:
     return bq.over.value(y, x), bq.under.value(x, y)
 
 
-def yb_map_inverse(bq: Biquandle, x: int, y: int) -> tuple[int, int]:
-    """Closed-form inverse of S; requires the originating brace.
+def yb_map_inverse(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
+    """Closed-form inverse of the S of the brace's derived biquandle.
 
     S^-1(x,y) = (w^circ, w^circ circ x circ y^circ) with w = (x circ y^circ) star x^star.
     """
-    if bq.brace is None:
-        raise ValueError("yb_map_inverse needs a biquandle derived from a brace")
-    br = bq.brace
-    circ, star = br.circ, br.star
+    circ, star = brace.circ, brace.star
     w = star.op(circ.op(x, circ.inv(y)), star.inv(x))
     p = circ.inv(w)
     return p, circ.op(circ.op(p, x), circ.inv(y))

@@ -35,14 +35,13 @@ class Record:
 
     Names starting with `_` are private caches, not fields. A subclass
     gets what a frozen dataclass would: a constructor taking the fields
-    by position or name (trailing defaults in `_defaults`) unless it
-    writes its own, assignment and deletion raising `AttributeError`,
-    equality only with the exact same class and a hash to match, the repr
+    by position or name, with no defaults, unless it writes its own,
+    assignment and deletion raising `AttributeError`, equality only with
+    the exact same class and a hash to match, the repr
     `Name(field=value, ...)`, and pickling and copying by the constructor.
     """
 
     __slots__ = ()
-    _defaults: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -63,7 +62,6 @@ class Record:
             + f"\ndef __hash__(self):\n return hash(({mine},))",
             ns,
         )
-        ns["__init__"].__defaults__ = cls._defaults or None
         for name in ("__init__", "__eq__", "__hash__"):
             if cls.__dict__.get(name) is None:
                 setattr(cls, name, ns[name])

@@ -131,9 +131,7 @@ def test_criterion_7_specialization(braces, links):
 
 def test_criterion_8_move_invariance(braces, links):
     for bn, ln in PAIRS:
-        result = move_invariance_trials(
-            braces[bn], links[ln], trials=100, seed=20260817, max_moves=3
-        )
+        result = move_invariance_trials(braces[bn], links[ln], trials=100, seed=20260817)
         assert result.all_invariant, (bn, ln, result.mismatch_code)
     _ok(8, "100 seeded move rewrites per pair leave both polynomials unchanged")
 

@@ -51,10 +51,10 @@ def test_r_map_anchor(braces):
 def test_maps_reject_elements_outside_the_carrier(braces, x):
     brace = braces["nab6"]
     bq = derive_biquandle(brace)
-    for call in (yb_map, yb_map_inverse):
+    for call, structure in ((yb_map, bq), (yb_map_inverse, brace)):
         for args in ((x, 1), (1, x)):
             with pytest.raises(ValueError, match=f"^element {x} is outside 1..6$"):
-                call(bq, *args)
+                call(structure, *args)
     for args in ((x, 2), (2, x)):
         with pytest.raises(ValueError, match=f"^element {x} is outside 1..6$"):
             r_map(brace, *args)
@@ -73,8 +73,8 @@ def test_yb_round_trip(braces):
         n = brace.n
         for x in range(1, n + 1):
             for y in range(1, n + 1):
-                assert yb_map_inverse(bq, *yb_map(bq, x, y)) == (x, y)
-                assert yb_map(bq, *yb_map_inverse(bq, x, y)) == (x, y)
+                assert yb_map_inverse(brace, *yb_map(bq, x, y)) == (x, y)
+                assert yb_map(bq, *yb_map_inverse(brace, x, y)) == (x, y)
 
 
 def test_involutive_iff_star_commutative(braces):

@@ -43,7 +43,7 @@ FIELDS = {
     OperationTable: ("n", "rows"),
     FiniteGroup: ("table", "identity", "inverse"),
     SkewBrace: ("n", "circ", "star"),
-    Biquandle: ("n", "under", "over", "under_inv", "over_inv", "brace"),
+    Biquandle: ("n", "under", "over", "under_inv", "over_inv"),
     AxiomCheck: ("name", "passed", "witness"),
     AxiomReport: ("checks",),
     Passage: ("crossing", "over", "sign"),
@@ -148,10 +148,6 @@ def test_equality_is_type_strict():
 
 
 def test_defaults():
-    bq = INSTANCES[Biquandle]
-    bare = Biquandle(bq.n, bq.under, bq.over, bq.under_inv, bq.over_inv)
-    assert bare.brace is None
-    assert bare != bq
     assert Polynomial2().terms == {} and Polynomial1().terms == {}
     assert Polynomial2({(1, 1): 0}).terms == {}
     assert Polynomial2({(1, 1): 0, (2, 2): 3}) == Polynomial2({(2, 2): 3})
