@@ -2,17 +2,20 @@
 object per coloring.
 
 The count's search leaves partial colorings (`coloring._survivors`,
-under the enumeration's budget). Only those are sorted: each becomes a
-fixed-width byte row over its assigned semiarcs, one byte per color below
-256, else two, big-endian, so that the rows sort as bytes in numeric
-order. The plan's free semiarcs are filled in semiarc order, the last
-first. The columns after a free semiarc are built once per run of sorted
-partial colorings that agree on every semiarc before it, and tiled n
-times, once per color of the free semiarc; a bound semiarc's column
-repeats each partial coloring's color once per coloring it completes to.
-Once the runs are single partial colorings, the columns after a free
-semiarc are built whole. With k free semiarcs the sort covers 1/n**k of
-the colorings.
+under the enumeration's budget) over the bound semiarcs, the ones some
+plan row sets. Only those are sorted: each becomes a fixed-width byte
+row over the bound semiarcs, one byte per color below 256, else two,
+big-endian, so that the rows sort as bytes in numeric order. With k free
+semiarcs the sort covers 1/n**k of the colorings.
+
+The free semiarcs are then inserted one at a time, the last first. A
+free semiarc takes each of its n colors once for every run of sorted
+partial colorings that agree on every bound semiarc before it, and the
+run's lines repeat once per color. Once the partial colorings all differ
+before a free semiarc, as before a trailing `-`, they differ before
+every later one too, and the columns from there on are built in one
+piece: each partial coloring's lines run through the later free
+semiarcs' colors in order, with its own colors repeated.
 
 `write_colorings` formats the columns as the lines of `skewbrace color`.
 `coloring.enumerate_colorings` and `skewbrace color` import this module
@@ -22,6 +25,9 @@ when they run, so no other command compiles it.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import reduce
+from itertools import pairwise
+from operator import iadd
 
 from .coloring import Column, _column_type, _repeat, _survivors
 from .gauss import LinkDiagram
@@ -52,55 +58,39 @@ def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:
         rows += map(bytes, zip(*planes)) if planes else [b""] * m
     rows.sort()
     m, size, raw = len(rows), w * len(bound), b"".join(rows)
-    known: dict[int, Column] = {}
+    out: list[Column | None] = [None] * s
     for i, j in enumerate(bound):
         planes = [raw[w * i + q :: size] for q in range(w)]
-        known[j] = column(planes[0] if w == 1 else map(_be16, *planes))
-    # level t covers the semiarcs after loose[t - 1], of which the bound
-    # ones are bound[cut[t] : cut[t + 1]]; its runs are the partial
-    # colorings that agree on bound[: cut[t]], and ends[t] lists where
-    # they end; level 0 is one run
-    k = len(loose)
-    cut = [0, *(f - t for t, f in enumerate(loose)), len(bound)]
-    ends = [[m]] + [
-        [r for r in range(1, m) if rows[r - 1][:c] != rows[r][:c]] + [m]
-        for c in map(w.__mul__, cut[1:-1])
+        out[j] = column(planes[0] if w == 1 else map(_be16, *planes))
+    # the partial colorings fall into runs that agree on every bound
+    # semiarc before loose[t]; cuts[t] lists where the runs start and end
+    cuts = [
+        [0, *(r for r in range(1, m) if rows[r - 1][:c] != rows[r][:c]), m]
+        for c in (w * (f - t) for t, f in enumerate(loose))
     ]
     del rows, raw
     digits = column(range(1, n + 1))
-    # the first level whose runs are all single survivors, if any: from
-    # loose[top - 1] on, each survivor's colorings run through the free
-    # colors in order, with each bound semiarc's color repeated, so the
-    # level is built whole; every level after it has single runs too
-    top = next((t for t in range(1, k + 1) if len(ends[t]) == m), k + 1)
-    # the columns from loose[top - 1] on of level top, its runs one after
-    # another: each survivor takes n**(k - top + 1) lines
-    tail: list[Column] = []
-    for x in range(loose[top - 1] if top <= k else s, s):
-        if x in known:
-            tail.append(_repeat(known[x], n ** (k - top + 1)))
-        else:
-            u = loose.index(x)
-            tail.append(_repeat(digits, n ** (k - u - 1)) * (m * n ** (u - top + 1)))
+    # the runs only split as t grows; from loose[top] on they are single
+    # partial colorings, each of which takes b lines of its own, over which
+    # the free semiarcs from there on run through their colors in order
+    k = len(loose)
+    top = sum(len(c) <= m for c in cuts)
+    b = n ** (k - top)
+    if b > 1:
+        for j in bound:
+            out[j] = _repeat(out[j], b)
+    for u in range(top, k):
+        out[loose[u]] = _repeat(digits, n ** (k - u - 1)) * (m * n ** (u - top))
+    # each free semiarc before those, the last first, takes each color on
+    # one stretch of every run's lines, over which those lines repeat
     for t in reversed(range(top)):
-        reps, level, lo = n ** (k - t), [], 0
-        for hi in ends[t]:
-            # each partial coloring of the run completes in reps ways, and
-            # takes reps lines of level t + 1
-            cols = [_repeat(known[j][lo:hi], reps) for j in bound[cut[t] : cut[t + 1]]]
-            cols += tail if hi - lo == m else [c[lo * reps : hi * reps] for c in tail]
-            if t:
-                # loose[t - 1] takes each color on one stretch of the block,
-                # over which the columns after it run through once
-                cols = [_repeat(digits, (hi - lo) * reps), *(c * n for c in cols)]
-            if level:
-                for c, more in zip(level, cols):
-                    c += more
-            else:
-                level = cols
-            lo = hi
-        tail = level
-    return tail
+        runs = list(pairwise([b * r for r in cuts[t]]))
+        for j, c in enumerate(out):
+            if c is not None:
+                out[j] = reduce(iadd, (c[lo:hi] * n for lo, hi in runs))
+        out[loose[t]] = reduce(iadd, (_repeat(digits, hi - lo) for lo, hi in runs))
+        b *= n
+    return out
 
 
 def _be16(hi: int, lo: int) -> int:

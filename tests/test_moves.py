@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,12 @@ from skewbrace import (
     counting_invariant,
     format_gauss_code,
     gap_locations,
+    load_brace_file,
     parse_gauss_code,
     random_move,
 )
 from skewbrace.moves import random_diagram_walk
+from skewbrace.plan import _FROM_ENTERING, _base_tables, derived_biquandle
 
 UNKNOT = parse_gauss_code("-")
 UNLINK2 = parse_gauss_code("- / -")
@@ -113,3 +117,43 @@ def test_random_diagram_walk_is_exported():
     from skewbrace import moves
 
     assert skewbrace.random_diagram_walk is moves.random_diagram_walk
+
+
+def crossing_maps(brace):
+    """The kernel's crossing relations as maps of X^2, read off the plan's
+    relation rows: S+(l, r) = (out_u, out_o) of a positive crossing with
+    in_o = l, in_u = r, and S-(l, r) = (out_o, out_u) of a negative one
+    with in_u = l, in_o = r."""
+    tb = _base_tables(derived_biquandle(brace))
+    maps = []
+    for sign in (1, -1):
+        crossing = {}
+        for l, r in product(range(1, brace.n + 1), repeat=2):
+            # slots (in_u, in_o, out_u, out_o)
+            slot = [r, l, 0, 0] if sign == 1 else [l, r, 0, 0]
+            for dst, t, a, b in _FROM_ENTERING[sign]:
+                slot[dst] = tb[t][slot[a]][slot[b]]
+            crossing[l, r] = (slot[2], slot[3]) if sign == 1 else (slot[3], slot[2])
+        maps.append(crossing)
+    return maps
+
+
+def test_crossing_relations_satisfy_r2_and_r3(braces):
+    """`moves` makes only R1 and R2 insertions, so R3 is checked on the
+    crossing relations themselves: S+ is a bijection of X^2 that S-
+    inverts (R2), and S1 S2 S1 = S2 S1 S2 on X^3 (R3)."""
+    cases = [*braces.values(), load_brace_file(str(Path(__file__).with_name("q8_witness.txt")))]
+    for brace in cases:
+        plus, minus = crossing_maps(brace)
+        pairs = list(product(range(1, brace.n + 1), repeat=2))
+        assert sorted(plus.values()) == pairs
+        assert all(minus[plus[p]] == p and plus[minus[p]] == p for p in pairs)
+
+        def s1(x, y, z):
+            return (*plus[x, y], z)
+
+        def s2(x, y, z):
+            return (x, *plus[y, z])
+
+        for v in product(range(1, brace.n + 1), repeat=3):
+            assert s1(*s2(*s1(*v))) == s2(*s1(*s2(*v)))

@@ -339,6 +339,23 @@ def test_sorted_columns_sort_the_frontier(monkeypatch):
     assert chunked >= 20
 
 
+def test_sorted_columns_build_trailing_free_semiarcs_whole(monkeypatch):
+    """Partial colorings that all differ before a trailing `-` get their
+    columns built in one piece: at most one `_repeat` per semiarc, where a
+    step per run of the 4,096 partial colorings would make thousands."""
+    d = parse_gauss_code("O1+ U2+ / O2+ U1+ O3+ U4+ / U3+ O4+ O5+ U6+ / U5+ O6+ / -")
+    calls = []
+
+    def repeat(col, n):
+        calls.append(n)
+        return coloring._repeat(col, n)
+
+    monkeypatch.setattr(enumeration, "_repeat", repeat)
+    cols = enumeration.sorted_columns(braces["inv8"], d)
+    assert (len(cols), len(cols[0])) == (13, 4096 * 8)
+    assert len(calls) <= 13
+
+
 def test_color_prints_the_brute_force_colorings(tmp_path, capsys):
     """`color` prints the oracle's colorings, in its order, on every bundled
     brace and on Z_12, whose colors take two digits."""

@@ -6,6 +6,11 @@ process and checks it with the benchmark's own gate, so a change to any
 output fails here and not only when the benchmark runs. The benchmark
 modules are loaded from their files and only read; batch files go under
 `tmp_path`.
+
+Every kind runs in canonical layout, where a padded code's `-`
+components come last. The padded `color` jobs also run in the seeded
+layouts of one benchmark run, with pads before and between the link's
+components.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from pathlib import Path
 from skewbrace import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+# the benchmark seed whose padded layouts are replayed
+SEED = 2801
 
 
 def _perfbench(name: str):
@@ -30,14 +37,35 @@ def _perfbench(name: str):
     return sys.modules[name]
 
 
-def test_every_job_kind_replays_its_recorded_output(tmp_path, capsys):
-    workloads, runner, gate = map(_perfbench, ("workloads", "runner", "gate"))
+def replay(jobs, tmp_path, capsys):
+    """The jobs whose in-process run exits non-zero, writes to stderr or
+    fails the benchmark's gate, with the reasons."""
+    runner, gate = _perfbench("runner"), _perfbench("gate")
     check = gate.Gate(gate.load_expected()).check
     failures = []
-    for job in workloads.all_job_kinds():
+    for job in jobs:
         code = cli.main(runner.cli_argv(job, ROOT, tmp_path))
         out, err = capsys.readouterr()
         reason = check(runner.JobResult(job, 0.0, code, out, err, 0.0))
         if code != 0 or err or reason:
-            failures.append((job.key, code, err, reason))
-    assert not failures
+            failures.append((job.key, job.link, code, err, reason))
+    return failures
+
+
+def test_every_job_kind_replays_its_recorded_output(tmp_path, capsys):
+    assert not replay(_perfbench("workloads").all_job_kinds(), tmp_path, capsys)
+
+
+def test_shuffled_padded_colorings_replay_their_recorded_output(tmp_path, capsys):
+    """Five padded passes run `color` on every brace and link once, each
+    code with its pads shuffled in."""
+    workloads = _perfbench("workloads")
+    jobs = [
+        job
+        for p in range(5)
+        for job in workloads.pass_jobs("padded", SEED, p)
+        if job.command == "color"
+    ]
+    assert len({(job.brace, job.base) for job in jobs}) == 30
+    assert any(not job.link.endswith("-") for job in jobs)
+    assert not replay(jobs, tmp_path, capsys)
