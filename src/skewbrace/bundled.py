@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .bracefile import parse_brace_file
+from .bracefile import load_brace_file
 from .gauss import LinkDiagram, parse_link_file
 from .tables import SkewBrace
 
@@ -40,9 +40,7 @@ def bundled_links_path() -> str:
 
 @lru_cache(maxsize=None)
 def load_bundled_brace(name: str) -> SkewBrace:
-    path = bundled_brace_path(name)
-    with open(path, encoding="utf-8") as fh:
-        return parse_brace_file(fh.read())
+    return load_brace_file(bundled_brace_path(name))
 
 
 @lru_cache(maxsize=1)

@@ -1,15 +1,15 @@
 """Coloring search for link diagrams over a skew brace.
 
 A coloring assigns a brace element to every semiarc. `plan` compiles
-each diagram into a straight-line plan of digit rows and relation rows,
+each diagram into a straight-line plan of digit rows and lookup rows,
 and lists the free semiarcs that no row sets; this module runs it.
 
 The plan runs breadth first over a frontier of partial colorings, held
 as one column per semiarc: a `bytearray` of the colors 1..n, or for
 carriers of 256 elements or more an unsigned 16-bit `array`, the type
 picked once from n. A digit row repeats every partial coloring n times
-and tiles the new digit, a relation row maps two columns through a table
-of row tuples, and a filter row drops the partial colorings it rejects
+and tiles the new digit, a write row maps two columns through a table
+of row tuples, and a check row drops the partial colorings it rejects
 from every column. A column stays unset until a row assigns its
 semiarc, and a free semiarc's column is never set. Digit rows come in a
 fixed order, so the frontier is always in the lexicographic order of the

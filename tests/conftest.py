@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,18 @@ from skewbrace import (
 
 BRACE_NAMES = bundled_brace_names()
 LINK_NAMES = ("unknot", "unlink2", "vhopf", "trefoil", "fig8")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_module(name: str):
+    """The module `perfbench/<name>.py`, loaded from its file under the
+    top-level name its siblings import it by; the tests only read it."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def trivial_cyclic_brace(n):

@@ -120,10 +120,10 @@ def test_random_diagram_walk_is_exported():
 
 
 def crossing_maps(brace):
-    """The kernel's crossing relations as maps of X^2, read off the plan's
-    relation rows: S+(l, r) = (out_u, out_o) of a positive crossing with
-    in_o = l, in_u = r, and S-(l, r) = (out_o, out_u) of a negative one
-    with in_u = l, in_o = r."""
+    """The kernel's crossing relations as maps of X^2, read off the
+    relations the plan compiler solves crossings by: S+(l, r) = (out_u,
+    out_o) of a positive crossing with in_o = l, in_u = r, and S-(l, r) =
+    (out_o, out_u) of a negative one with in_u = l, in_o = r."""
     tb = _base_tables(derived_biquandle(brace))
     maps = []
     for sign in (1, -1):

@@ -34,7 +34,7 @@ from skewbrace.bundled import bundled_brace_path
 from skewbrace.cli import main
 from skewbrace.plan import CompiledPlan, _compiled_for, _lookup
 
-from conftest import random_code, trivial_cyclic_brace
+from conftest import perfbench_module, random_code, trivial_cyclic_brace
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 ORACLE_SPACE = 10**6
@@ -42,18 +42,24 @@ ORACLE_SPACE = 10**6
 braces = {name: load_bundled_brace(name) for name in BRACE_NAMES}
 
 
-def has_pair_rows(brace, d) -> bool:
-    plan = _compiled_for(brace, d).plan
-    return any(kind == 1 and t >= 4 for kind, _, _, _, t, _ in plan)
+def basis_kinds(brace, d) -> tuple[bool, bool]:
+    """Whether d's plan completes some crossing from one semiarc (a row
+    with a == b), and whether it drops basis values no solution takes (a
+    filter row, the only kind with dst == a)."""
+    rows = [row for row in _compiled_for(brace, d).plan if row[0] == 1]
+    return any(a == b for _, a, b, *_ in rows), any(dst == a for _, a, _, dst, *_ in rows)
 
 
 def check_plan_structure(cp, system) -> None:
-    """Each row reads only semiarcs that earlier rows wrote; digit and fill
-    rows write a new semiarc and filter rows none; every table exists, and
-    each crossing gives two relation rows. The written semiarcs and the
-    free ones, exactly those no crossing touches, partition the semiarcs.
-    A later row reads every digit row's semiarc, and a plan with rows ends
-    in a filter row."""
+    """Each row reads only semiarcs that earlier rows wrote; digit and write
+    rows write a new semiarc and check rows none; every table exists, and
+    every non-digit row reads and writes semiarcs of a single crossing.
+    The written semiarcs and the free ones, exactly those no crossing
+    touches, partition the semiarcs. A later row reads every digit row's
+    semiarc."""
+    crossings = [
+        {c.under_in, c.over_in, c.under_out, c.over_out} for c in system.constraints
+    ]
     written, digits, reads = set(), [], []
     for kind, a, b, dst, t, mode in cp.plan:
         if kind == 0:
@@ -63,6 +69,7 @@ def check_plan_structure(cp, system) -> None:
             reads.append(set())
             continue
         assert {a, b} <= written and t < len(cp.tbl)
+        assert any({a, b, dst} <= arcs for arcs in crossings)
         if mode == 0:
             assert dst not in written
             written.add(dst)
@@ -71,24 +78,21 @@ def check_plan_structure(cp, system) -> None:
             assert dst in written
             reads.append({a, b, dst})
     s = system.semiarc_count
-    touched = {
-        x for c in system.constraints for x in (c.under_in, c.over_in, c.under_out, c.over_out)
-    }
+    touched = set().union(*crossings)
     assert list(cp.free) == sorted(set(range(s)) - touched)
     assert written.isdisjoint(cp.free) and written | set(cp.free) == set(range(s))
-    assert sum(row[0] == 1 for row in cp.plan) == 2 * len(system.constraints)
-    assert not cp.plan or cp.plan[-1][0] == 1 and cp.plan[-1][5] == 1
     for r, x in digits:
         assert any(x in later for later in reads[r + 1 :])
 
 
-def check_against_oracle(d) -> int:
+def check_against_oracle(d) -> Counter:
     """Check every brace's plan structure, and the colorings of every brace
     whose space n**s is small enough for the oracle; return how many of
-    those plans use pair-solution rows."""
+    those plans use a one-semiarc basis and how many a dropped-values
+    filter."""
     system = build_constraints(d)
     s = system.semiarc_count
-    pair_plans = 0
+    kinds = Counter()
     for brace in braces.values():
         check_plan_structure(_compiled_for(brace, d), system)
         if brace.n**s > ORACLE_SPACE:
@@ -96,8 +100,9 @@ def check_against_oracle(d) -> int:
         cols = enumerate_colorings(brace, d)
         assert cols == sorted(brute_force_colorings(brace, d))
         assert counting_invariant(brace, d) == len(cols)
-        pair_plans += has_pair_rows(brace, d)
-    return pair_plans
+        one, dropped = basis_kinds(brace, d)
+        kinds.update(one=one, dropped=dropped)
+    return kinds
 
 
 @given(
@@ -110,13 +115,31 @@ def test_kernel_matches_brute_force_on_random_codes(rng, crossings, components):
     check_against_oracle(parse_gauss_code(random_code(rng, crossings, components)))
 
 
-def test_pair_solution_rows_are_oracle_checked():
+def test_completion_rows_are_oracle_checked():
+    """Plans that complete crossings from one semiarc, or that drop basis
+    values no solution takes, are among the oracle-checked ones."""
     rng = random.Random(2021)
-    pair_plans = 0
+    kinds = Counter()
     for _ in range(40):
         code = random_code(rng, rng.randint(2, 4), rng.randint(1, 3))
-        pair_plans += check_against_oracle(parse_gauss_code(code))
-    assert pair_plans >= 20
+        kinds += check_against_oracle(parse_gauss_code(code))
+    assert kinds["one"] >= 20 and kinds["dropped"] >= 10
+
+
+def test_random_virtual_plans_place_few_digit_rows():
+    """Each digit row multiplies the frontier by n, so plan quality is the
+    digit rows placed. On the benchmark's random_virtual pool, 28 codes on
+    nab6 and cyc6, the compiler places 264 digit rows. Taking the lowest
+    open semiarc as the next digit instead places 368 and makes counting
+    the pool about 30 times slower."""
+    workloads = perfbench_module("workloads")
+    digits = sum(
+        row[0] == 0
+        for name in workloads.RV_BRACES
+        for _, code in workloads.code_pool()
+        for row in _compiled_for(braces[name], parse_gauss_code(code)).plan
+    )
+    assert digits <= 268
 
 
 @cache

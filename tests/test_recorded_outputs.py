@@ -15,32 +15,18 @@ components.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from skewbrace import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, perfbench_module
+
 # the benchmark seed whose padded layouts are replayed
 SEED = 2801
-
-
-def _perfbench(name: str):
-    """The module `perfbench/<name>.py`, under the top-level name its
-    siblings import it by."""
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 def replay(jobs, tmp_path, capsys):
     """The jobs whose in-process run exits non-zero, writes to stderr or
     fails the benchmark's gate, with the reasons."""
-    runner, gate = _perfbench("runner"), _perfbench("gate")
+    runner, gate = perfbench_module("runner"), perfbench_module("gate")
     check = gate.Gate(gate.load_expected()).check
     failures = []
     for job in jobs:
@@ -53,13 +39,13 @@ def replay(jobs, tmp_path, capsys):
 
 
 def test_every_job_kind_replays_its_recorded_output(tmp_path, capsys):
-    assert not replay(_perfbench("workloads").all_job_kinds(), tmp_path, capsys)
+    assert not replay(perfbench_module("workloads").all_job_kinds(), tmp_path, capsys)
 
 
 def test_shuffled_padded_colorings_replay_their_recorded_output(tmp_path, capsys):
     """Five padded passes run `color` on every brace and link once, each
     code with its pads shuffled in."""
-    workloads = _perfbench("workloads")
+    workloads = perfbench_module("workloads")
     jobs = [
         job
         for p in range(5)
