@@ -5,13 +5,13 @@ each diagram into a straight-line plan of digit rows and lookup rows,
 and lists the free semiarcs that no row sets; this module runs it.
 
 The plan runs breadth first over a frontier of partial colorings, held
-as one column per semiarc: a `bytearray` of the colors 1..n, or for
-carriers of 256 elements or more an unsigned 16-bit `array`, the type
-picked once from n. A digit row repeats every partial coloring n times
-and tiles the new digit, a write row maps two columns through a table
-of row tuples, and a check row drops the partial colorings it rejects
-from every column. A column stays unset until a row assigns its
-semiarc, and a free semiarc's column is never set. Digit rows come in a
+as a dict of one column per bound semiarc: a `bytearray` of the colors
+1..n, or for carriers of 256 elements or more an unsigned 16-bit
+`array`, the type picked once from n. A digit row repeats every partial
+coloring n times and tiles the new digit. A lookup row maps two columns
+through its table of row tuples into its semiarc's column, or, if that
+is bound, drops the partial colorings that disagree from every column.
+A free semiarc never gets a column. Digit rows come in a
 fixed order, so the frontier is always in the lexicographic order of the
 digits chosen so far. Each partial coloring the whole plan leaves
 completes in exactly n**(free semiarcs) ways.
@@ -56,8 +56,8 @@ class SearchTooLarge(DomainError):
 
 
 Column = MutableSequence[int]
-# m partial colorings, as one column of m colors per semiarc or None
-Block = tuple[int, list[Column | None]]
+# m partial colorings, as one column of m colors per bound semiarc
+Block = tuple[int, dict[int, Column]]
 
 
 def _column_type(n: int) -> Callable[..., Column]:
@@ -76,20 +76,19 @@ def _repeat(col: Column, n: int) -> Column:
 
 def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
     """Run the plan breadth first; yield the surviving partial colorings
-    as blocks (m, columns) in digit order, with None for a free
-    semiarc."""
+    as blocks (m, columns) in digit order, the columns keyed by semiarc."""
     n, s = cp.n, cp.semiarc_count
-    rows, tbl = cp.plan, cp.tbl
+    rows = cp.plan
     column = _column_type(n)
     digits = column(range(1, n + 1))
     step = _FRONTIER_CELLS // (n * s)
     # the blocks still to run, as (first row, m, columns), the next on top
-    stack: list[tuple[int, int, list[Column | None]]] = [(0, 1, [None] * s)]
+    stack: list[tuple[int, int, dict[int, Column]]] = [(0, 1, {})]
     while stack:
         first, m, cols = stack.pop()
         for r in range(first, len(rows)):
-            kind, a, b, dst, t, mode = rows[r]
-            if kind == 0:
+            row = rows[r]
+            if len(row) == 1:
                 if m > step:
                     if step == 0:
                         raise SearchTooLarge(
@@ -98,23 +97,25 @@ def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
                         )
                     # each chunk passes this row within budget
                     for lo in reversed(range(0, m, step)):
-                        chunk = [None if c is None else c[lo : lo + step] for c in cols]
+                        chunk = {x: c[lo : lo + step] for x, c in cols.items()}
                         stack.append((r, min(step, m - lo), chunk))
                     break
-                cols = [None if c is None else _repeat(c, n) for c in cols]
-                cols[a] = digits * m
+                cols = {x: _repeat(c, n) for x, c in cols.items()}
+                cols[row[0]] = digits * m
                 m *= n
-            elif mode == 0:
-                cols[dst] = column(map(getitem, map(tbl[t].__getitem__, cols[a]), cols[b]))
+                continue
+            a, b, dst, tab = row
+            val = map(getitem, map(tab.__getitem__, cols[a]), cols[b])
+            if dst not in cols:
+                cols[dst] = column(val)
             else:
-                val = map(getitem, map(tbl[t].__getitem__, cols[a]), cols[b])
                 keep = bytes(map(eq, cols[dst], val))
                 left = keep.count(1)
                 if left == 0:
                     break
                 if left < m:
                     m = left
-                    cols = [None if c is None else column(compress(c, keep)) for c in cols]
+                    cols = {x: column(compress(c, keep)) for x, c in cols.items()}
         else:
             yield m, cols
 
@@ -160,9 +161,8 @@ def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
     counts: dict[int, int] = Counter()
     for m, cols in _survivors(cp):
         keys = [0] * m
-        for col in cols:
-            if col is not None:
-                keys = list(map(or_, keys, map(bit.__getitem__, col)))
+        for col in cols.values():
+            keys = list(map(or_, keys, map(bit.__getitem__, col)))
         counts.update(keys)
     for _ in cp.free:
         wider: dict[int, int] = {}

@@ -178,6 +178,8 @@ def build_constraints(d: LinkDiagram) -> SemiarcSystem:
     into semiarc j (component-local, then globally offset). A component
     with no passages contributes one semiarc and no constraints.
     """
+    if not d.components:
+        raise GaussCodeError("empty diagram: no components")
     arcs: dict[tuple[int, bool], tuple[int, int]] = {}  # (in, out) semiarcs
     signs: dict[int, int] = {}
     base = 0

@@ -103,6 +103,8 @@ def random_move(d: LinkDiagram, rng: random.Random) -> LinkDiagram:
     """Apply one random R1 or R2 insertion; falls back to R1 when the
     diagram has no pair of distinct gaps."""
     gaps = gap_locations(d)
+    if not gaps:
+        raise InvalidLocation("the diagram has no gap")
     want_r2 = len(gaps) >= 2 and rng.random() < 0.5
     if want_r2:
         loc1, loc2 = rng.sample(gaps, 2)

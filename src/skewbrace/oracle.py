@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .coloring import Coloring
 from .gauss import LinkDiagram, build_constraints
-from .plan import Table, _base_tables, derived_biquandle
+from .plan import Table, _lookup, derived_biquandle
 from .tables import SkewBrace
 
 __all__ = ["brute_force_colorings"]
@@ -33,7 +33,8 @@ def brute_force_colorings(
     if total > limit:
         raise ValueError(f"brute force space {total} exceeds limit {limit}")
 
-    u, o, u_inv, o_inv = _base_tables(derived_biquandle(brace))
+    bq = derived_biquandle(brace)
+    u, o, u_inv, o_inv = (_lookup(t.rows) for t in (bq.under, bq.over, bq.under_inv, bq.over_inv))
     # (table, a, b, dst): a coloring p needs table[p[a]][p[b]] == p[dst]
     checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(s)]
     for c in system.constraints:

@@ -13,10 +13,11 @@ which is what makes kink and poke insertions preserve colorings inside
 any ambient diagram.
 
 A digit row tries every value on one semiarc. A lookup row reads one
-semiarc's value off a table at the values of one or two known ones, and
-either writes it or, if it is known already, checks it. The compiler
+semiarc's value off its own table at the values of one or two bound
+ones, and binds it: it writes the semiarc if no earlier row bound it,
+and otherwise keeps only the partial colorings that agree. The compiler
 completes one crossing at a time, by one rule: a crossing completes as
-soon as one or two of its known semiarcs, a basis, pick at most one of
+soon as one or two of its bound semiarcs, a basis, pick at most one of
 its solutions. It solves each crossing pattern ahead of time, from its
 two entering slots, and emits a filter that drops the basis values no
 solution takes, if some are missing, then one lookup row for each other
@@ -47,7 +48,7 @@ Table = tuple[tuple[int, ...], ...]
 
 # the crossing relations per sign, as (dst, table, src_a, src_b) over the
 # slot tuple (in_u, in_o, out_u, out_o) and the table stack (U, O, Ui, Oi):
-# slot[dst] = table[slot[src_a]][slot[src_b]]. Each relation reads only
+# slot[dst] = table(slot[src_a], slot[src_b]). Each relation reads only
 # slots set before it, so they complete a crossing from its two entering
 # slots (in_u, in_o).
 _FROM_ENTERING = {1: ((3, 3, 1, 0), (2, 0, 0, 3)), -1: ((2, 2, 0, 1), (3, 1, 1, 2))}
@@ -65,12 +66,6 @@ def derived_biquandle(brace: SkewBrace) -> Biquandle:
     return derive_biquandle(brace)
 
 
-@lru_cache(maxsize=64)
-def _base_tables(bq: Biquandle) -> tuple[Table, ...]:
-    """U, O, Ui and Oi as `_lookup` tables."""
-    return tuple(_lookup(t.rows) for t in (bq.under, bq.over, bq.under_inv, bq.over_inv))
-
-
 @lru_cache(maxsize=256)
 def _solutions(bq: Biquandle, sign: int, labels: tuple[int, int, int, int]) -> list[list[int]]:
     """A crossing's solutions, each the colors of its distinct semiarcs in
@@ -78,13 +73,13 @@ def _solutions(bq: Biquandle, sign: int, labels: tuple[int, int, int, int]) -> l
     slot tuple. The two entering slots fix the other two, so the crossing
     has n*n solutions over its slots; those that give repeated semiarcs
     one color are the solutions over the labels."""
-    tb = _base_tables(bq)
+    tb = (bq.under.rows, bq.over.rows, bq.under_inv.rows, bq.over_inv.rows)
     firsts = [labels.index(i) for i in range(max(labels) + 1)]
     sol = []
     for x, y in product(range(1, bq.n + 1), repeat=2):
         slot = [x, y, 0, 0]
         for dst, t, a, b in _FROM_ENTERING[sign]:
-            slot[dst] = tb[t][slot[a]][slot[b]]
+            slot[dst] = tb[t][slot[a] - 1][slot[b] - 1]
         g = [slot[j] for j in firsts]
         if [g[lab] for lab in labels] == slot:
             sol.append(g)
@@ -99,14 +94,13 @@ def _completion(
     known_pattern: tuple[bool, ...],
 ) -> tuple | None:
     """The rows that complete a crossing whose labels known_pattern marks
-    as assigned, or None if no basis picks at most one solution.
+    as bound, or None if no basis picks at most one solution.
 
-    A basis is one known label, or two, whose colors tell the crossing's
-    solutions apart. Each row (a, b, dst, table, mode) looks dst up at
-    table[a][b] over the basis labels a and b (a == b for one label) and
-    writes it (mode 0) or checks it (mode 1). If the solutions miss some
-    basis colors, the first row is a filter that drops them: it checks
-    the basis label a against itself. Checks come before writes.
+    A basis is one bound label, or two, whose colors tell the crossing's
+    solutions apart. Each row (a, b, dst, table) binds dst to table[a][b]
+    over the basis labels a and b (a == b for one label). If the solutions
+    miss some basis colors, the first row is a filter that drops them: it
+    binds the basis label a to itself. Checks come before writes.
     """
     sol = _solutions(bq, sign, labels)
     known = [i for i, k in enumerate(known_pattern) if k]
@@ -124,26 +118,26 @@ def _completion(
     for o in checks + [o for o, k in enumerate(known_pattern) if not k]:
         # an entry no solution takes is 0, which no color equals
         tab = _lookup([[pick[x, y][o] if (x, y) in pick else 0 for y in colors] for x in colors])
-        rows.append((a, b, o, tab, int(known_pattern[o])))
+        rows.append((a, b, o, tab))
     return tuple(rows)
 
 
 class CompiledPlan(Record):
     """A diagram's search plan over one biquandle.
 
-    `plan` has one tuple (kind, a, b, dst, t, mode) per step:
+    `plan` has one tuple per step:
 
-        kind 0: digit row; try every value on semiarc a
-        kind 1: lookup row; v = tbl[t][vals[a]][vals[b]], then write
-                vals[dst] = v (mode 0) or drop the partial coloring unless
-                vals[dst] == v (mode 1)
+        (a,): digit row; try every value on semiarc a
+        (a, b, dst, table): lookup row; v = table[vals[a]][vals[b]], then
+            write vals[dst] = v if no earlier row bound dst, or else drop
+            the partial coloring unless vals[dst] == v
 
-    Colors are 1..n, as in the table files. `tbl` holds the lookup rows'
-    tables, one per row, each a `_lookup` table from `_completion`. `free`
-    lists the free semiarcs, the ones no row sets, in ascending order.
+    Colors are 1..n, as in the table files, and each table is a `_lookup`
+    table from `_completion`. `free` lists the free semiarcs, the ones no
+    row binds, in ascending order.
     """
 
-    __slots__ = ("plan", "tbl", "n", "semiarc_count", "free")
+    __slots__ = ("plan", "n", "semiarc_count", "free")
 
 
 def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
@@ -152,8 +146,7 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
     # list when made but joins it when freed, and over a walk of many
     # diagrams the free lists would grow to their cap of 2,000 each
     known = [False] * system.semiarc_count
-    rows: list[tuple[int, ...]] = []
-    tbl = []
+    rows: list[tuple] = []
     # the crossings not yet complete: each one's sign, its distinct
     # semiarcs in first-occurrence order and the label of each slot among
     # them
@@ -170,21 +163,19 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
             if not any(kp) or (done := _completion(bq, sign, labels, kp)) is None:
                 left.append(crossing)
                 continue
-            for a, b, dst, tab, mode in done:
-                rows.append((1, arcs[a], arcs[b], arcs[dst], len(tbl), mode))
-                tbl.append(tab)
+            for a, b, dst, tab in done:
+                rows.append((arcs[a], arcs[b], arcs[dst], tab))
                 known[arcs[dst]] = True
         if len(left) == len(todo):
             # a digit at the tightest crossing propagates the furthest
             v = min(
                 (len(o), min(o)) for _, arcs, _ in left if (o := [x for x in arcs if not known[x]])
             )[1]
-            rows.append((0, v, 0, 0, 0, 0))
+            rows.append((v,))
             known[v] = True
         todo = left
     return CompiledPlan(
         plan=tuple(rows),
-        tbl=tuple(tbl),
         n=bq.n,
         semiarc_count=system.semiarc_count,
         free=tuple([x for x, k in enumerate(known) if not k]),

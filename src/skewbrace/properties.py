@@ -1,10 +1,9 @@
-"""A brace's Yang-Baxter maps and two checks on its polynomials.
-
-r is the brace's set-theoretic solution of the Yang-Baxter equation, and S
-the map of its derived biquandle. `specialize` gives a polynomial's value
-at u = v = 1, the coloring count, and `exponent_profile` lists its terms
-u^a v^b with a != b. They serve the library and the tests: no command
-imports this module, so no command compiles it.
+"""A brace's Yang-Baxter map r, a bijection S of X^2 from its derived
+biquandle, and two checks on its polynomials. `specialize` gives a
+polynomial's value at u = v = 1, the coloring count, and
+`exponent_profile` lists its terms u^a v^b with a != b. They serve the
+library and the tests: no command imports this module, so no command
+compiles it.
 """
 
 from __future__ import annotations
@@ -28,12 +27,15 @@ def r_map(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
 
 
 def yb_map(bq: Biquandle, x: int, y: int) -> tuple[int, int]:
-    """S(x,y) = (y |> x, x <| y)."""
+    """S(x,y) = (y |> x, x <| y), a bijection of X^2 whose inverse is
+    `yb_map_inverse`. It fails the Yang-Baxter equation on nab6, cyc6 and
+    inv8; the kernel's crossing maps are `plan._solutions`, which
+    `test_crossing_relations_satisfy_r2_and_r3` checks for R2 and R3."""
     return bq.over.value(y, x), bq.under.value(x, y)
 
 
 def yb_map_inverse(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
-    """Closed-form inverse of the S of the brace's derived biquandle.
+    """Closed-form inverse of `yb_map` on the brace's derived biquandle.
 
     S^-1(x,y) = (w^circ, w^circ circ x circ y^circ) with w = (x circ y^circ) star x^star.
     """

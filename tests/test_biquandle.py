@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from skewbrace import (
@@ -9,6 +12,7 @@ from skewbrace import (
     derive_biquandle,
     is_involutive,
     is_star_commutative,
+    load_brace_file,
     r_map,
     validate_skew_brace,
     verify_biquandle_axioms,
@@ -65,6 +69,23 @@ def test_r_map_is_a_bijection_everywhere(braces):
         n = brace.n
         images = {r_map(brace, x, y) for x in range(1, n + 1) for y in range(1, n + 1)}
         assert len(images) == n * n
+
+
+def test_r_map_satisfies_the_yang_baxter_equation(braces):
+    """(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r) on X^3."""
+    cases = [*braces.values(), load_brace_file(str(Path(__file__).with_name("q8_witness.txt")))]
+    for brace in cases:
+        xs = range(1, brace.n + 1)
+        r = {(x, y): r_map(brace, x, y) for x, y in product(xs, repeat=2)}
+
+        def r12(x, y, z):
+            return (*r[x, y], z)
+
+        def r23(x, y, z):
+            return (x, *r[y, z])
+
+        for v in product(xs, repeat=3):
+            assert r12(*r23(*r12(*v))) == r23(*r12(*r23(*v)))
 
 
 def test_yb_round_trip(braces):

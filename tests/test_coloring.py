@@ -3,7 +3,10 @@ from __future__ import annotations
 import pytest
 
 from skewbrace import (
+    GaussCodeError,
+    LinkDiagram,
     SearchTooLarge,
+    both_polynomials,
     brute_force_colorings,
     build_constraints,
     counting_invariant,
@@ -121,6 +124,16 @@ def test_kinked_unknot_still_counts_n(braces, links):
             for over_first in (False, True):
                 kinked = apply_r1(links["unknot"], (0, 0), sign=sign, over_first=over_first)
                 assert counting_invariant(brace, kinked) == brace.n
+
+
+@pytest.mark.parametrize(
+    "entry", [counting_invariant, enumerate_colorings, both_polynomials, brute_force_colorings]
+)
+def test_a_diagram_with_no_component_is_refused(braces, entry):
+    """The constructor accepts a diagram that no Gauss code parses to; it
+    has no semiarc, so each entry point refuses it."""
+    with pytest.raises(GaussCodeError, match="^empty diagram: no components$"):
+        entry(braces["nab6"], LinkDiagram(components=()))
 
 
 def test_brute_force_agrees(braces, links):

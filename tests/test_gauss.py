@@ -6,6 +6,7 @@ from skewbrace import (
     CrossingUsedWrong,
     GaussCodeError,
     GaussSyntaxError,
+    LinkDiagram,
     SignMismatch,
     build_constraints,
     format_gauss_code,
@@ -132,6 +133,11 @@ def test_empty_code_rejected():
         parse_gauss_code("")
     with pytest.raises(GaussSyntaxError):
         parse_gauss_code("O1+ U1+ /")
+
+
+def test_a_diagram_with_no_component_has_no_constraints():
+    with pytest.raises(GaussCodeError, match="^empty diagram: no components$"):
+        build_constraints(LinkDiagram(components=()))
 
 
 def test_crossing_id_zero_rejected():

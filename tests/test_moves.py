@@ -8,6 +8,7 @@ import pytest
 
 from skewbrace import (
     InvalidLocation,
+    LinkDiagram,
     apply_r1,
     apply_r2,
     counting_invariant,
@@ -18,7 +19,7 @@ from skewbrace import (
     random_move,
 )
 from skewbrace.moves import random_diagram_walk
-from skewbrace.plan import _FROM_ENTERING, _base_tables, derived_biquandle
+from skewbrace.plan import _solutions, derived_biquandle
 
 UNKNOT = parse_gauss_code("-")
 UNLINK2 = parse_gauss_code("- / -")
@@ -112,6 +113,13 @@ def test_moves_preserve_counting_invariant(braces, links):
         assert counting_invariant(brace, d) == base
 
 
+def test_a_diagram_with_no_component_has_no_gap():
+    empty = LinkDiagram(components=())
+    for move in (random_move, random_diagram_walk):
+        with pytest.raises(InvalidLocation, match="^the diagram has no gap$"):
+            move(empty, random.Random(0))
+
+
 def test_random_diagram_walk_is_exported():
     import skewbrace
     from skewbrace import moves
@@ -121,21 +129,14 @@ def test_random_diagram_walk_is_exported():
 
 def crossing_maps(brace):
     """The kernel's crossing relations as maps of X^2, read off the
-    relations the plan compiler solves crossings by: S+(l, r) = (out_u,
-    out_o) of a positive crossing with in_o = l, in_u = r, and S-(l, r) =
-    (out_o, out_u) of a negative one with in_u = l, in_o = r."""
-    tb = _base_tables(derived_biquandle(brace))
-    maps = []
-    for sign in (1, -1):
-        crossing = {}
-        for l, r in product(range(1, brace.n + 1), repeat=2):
-            # slots (in_u, in_o, out_u, out_o)
-            slot = [r, l, 0, 0] if sign == 1 else [l, r, 0, 0]
-            for dst, t, a, b in _FROM_ENTERING[sign]:
-                slot[dst] = tb[t][slot[a]][slot[b]]
-            crossing[l, r] = (slot[2], slot[3]) if sign == 1 else (slot[3], slot[2])
-        maps.append(crossing)
-    return maps
+    solutions the plan compiler completes crossings by, over the slots
+    (in_u, in_o, out_u, out_o): S+(l, r) = (out_u, out_o) of a positive
+    crossing with in_o = l, in_u = r, and S-(l, r) = (out_o, out_u) of a
+    negative one with in_u = l, in_o = r."""
+    bq = derived_biquandle(brace)
+    plus = {(i_o, i_u): (o_u, o_o) for i_u, i_o, o_u, o_o in _solutions(bq, 1, (0, 1, 2, 3))}
+    minus = {(i_u, i_o): (o_o, o_u) for i_u, i_o, o_u, o_o in _solutions(bq, -1, (0, 1, 2, 3))}
+    return plus, minus
 
 
 def test_crossing_relations_satisfy_r2_and_r3(braces):

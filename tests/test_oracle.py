@@ -46,14 +46,15 @@ def basis_kinds(brace, d) -> tuple[bool, bool]:
     """Whether d's plan completes some crossing from one semiarc (a row
     with a == b), and whether it drops basis values no solution takes (a
     filter row, the only kind with dst == a)."""
-    rows = [row for row in _compiled_for(brace, d).plan if row[0] == 1]
-    return any(a == b for _, a, b, *_ in rows), any(dst == a for _, a, _, dst, *_ in rows)
+    rows = [row for row in _compiled_for(brace, d).plan if len(row) == 4]
+    return any(a == b for a, b, _, _ in rows), any(dst == a for a, _, dst, _ in rows)
 
 
 def check_plan_structure(cp, system) -> None:
-    """Each row reads only semiarcs that earlier rows wrote; digit and write
-    rows write a new semiarc and check rows none; every table exists, and
-    every non-digit row reads and writes semiarcs of a single crossing.
+    """Each row reads only semiarcs that earlier rows wrote; digit rows
+    write a new semiarc; every row is a digit row of one semiarc or a
+    lookup row with an (n + 1) x (n + 1) table, and every lookup row reads
+    and binds semiarcs of a single crossing.
     The written semiarcs and the free ones, exactly those no crossing
     touches, partition the semiarcs. A later row reads every digit row's
     semiarc."""
@@ -61,22 +62,23 @@ def check_plan_structure(cp, system) -> None:
         {c.under_in, c.over_in, c.under_out, c.over_out} for c in system.constraints
     ]
     written, digits, reads = set(), [], []
-    for kind, a, b, dst, t, mode in cp.plan:
-        if kind == 0:
+    for row in cp.plan:
+        if len(row) == 1:
+            (a,) = row
             assert a not in written
             written.add(a)
             digits.append((len(reads), a))
             reads.append(set())
             continue
-        assert {a, b} <= written and t < len(cp.tbl)
+        a, b, dst, table = row
+        assert {a, b} <= written
+        assert len(table) == cp.n + 1 and {len(t) for t in table} == {cp.n + 1}
         assert any({a, b, dst} <= arcs for arcs in crossings)
-        if mode == 0:
-            assert dst not in written
+        if dst in written:
+            reads.append({a, b, dst})
+        else:
             written.add(dst)
             reads.append({a, b})
-        else:
-            assert dst in written
-            reads.append({a, b, dst})
     s = system.semiarc_count
     touched = set().union(*crossings)
     assert list(cp.free) == sorted(set(range(s)) - touched)
@@ -134,7 +136,7 @@ def test_random_virtual_plans_place_few_digit_rows():
     the pool about 30 times slower."""
     workloads = perfbench_module("workloads")
     digits = sum(
-        row[0] == 0
+        len(row) == 1
         for name in workloads.RV_BRACES
         for _, code in workloads.code_pool()
         for row in _compiled_for(braces[name], parse_gauss_code(code)).plan
@@ -282,12 +284,16 @@ def chunk_cases():
 
 def frontier_rows(cp) -> list[list[int]]:
     """The partial colorings the whole plan leaves, block after block, each
-    with every choice of colors on the free semiarcs in turn."""
+    with every choice of colors on the free semiarcs in turn. Each block
+    has a column for every semiarc but the free ones."""
     rows = []
     for m, cols in coloring._frontiers(cp):
+        assert sorted([*cols, *cp.free]) == list(range(cp.semiarc_count))
         for i in range(m):
             for colors in product(range(1, cp.n + 1), repeat=len(cp.free)):
-                row = [None if c is None else c[i] for c in cols]
+                row = [0] * cp.semiarc_count
+                for x, c in cols.items():
+                    row[x] = c[i]
                 for x, c in zip(cp.free, colors):
                     row[x] = c
                 rows.append(row)
@@ -325,12 +331,12 @@ def test_a_chunk_chain_past_the_recursion_limit(monkeypatch):
     the recursion limit: the stack of chunks needs no Python frame per
     level."""
     k = sys.getrecursionlimit()
-    plan = [(0, 0, 0, 0, 0, 0)]
+    table = _lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
+    plan = [(0,)]
     for i in range(1, k + 1):
         # a digit on semiarc i, then keep vals[i - 1] == T[vals[i]][vals[i]]
-        plan += [(0, i, i, 0, 0, 0), (1, i, i, i - 1, 0, 1)]
-    table = _lookup([[1, 1, 1], [1, 1, 1], [3, 3, 3]])
-    cp = CompiledPlan(plan=tuple(plan), tbl=(table,), n=3, semiarc_count=k + 1, free=())
+        plan += [(i,), (i, i, i - 1, table)]
+    cp = CompiledPlan(plan=tuple(plan), n=3, semiarc_count=k + 1, free=())
     monkeypatch.setattr(coloring, "_FRONTIER_CELLS", 3 * (k + 1))
     assert frontier_rows(cp) == [[1] * (k + 1), [1] * k + [2], [3] * (k + 1)]
 

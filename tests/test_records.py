@@ -50,7 +50,7 @@ FIELDS = {
     LinkDiagram: ("components",),
     CrossingConstraint: ("crossing", "sign", "under_in", "over_in", "under_out", "over_out"),
     SemiarcSystem: ("semiarc_count", "constraints"),
-    CompiledPlan: ("plan", "tbl", "n", "semiarc_count", "free"),
+    CompiledPlan: ("plan", "n", "semiarc_count", "free"),
     Polynomial2: ("terms",),
     Polynomial1: ("terms",),
     ExponentProfile: ("uniform", "counterexamples"),
