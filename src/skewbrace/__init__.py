@@ -40,8 +40,6 @@ _EXPORTS = {
     "derive_biquandle": "biquandle",
     "derived_biquandle": "plan",
     "verify_biquandle_axioms": "biquandle",
-    "yb_map": "properties",
-    "yb_map_inverse": "properties",
     "r_map": "properties",
     "is_involutive": "axioms",
     "EmptyGenerators": "substructures",

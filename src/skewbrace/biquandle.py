@@ -5,15 +5,10 @@ The derived operations on a brace (X, circ, star) are
     x under y = y^circ circ (x star y)        (written x <| y)
     x over y  = y^circ circ (y star x)        (written x |> y)
 
-with right inverses
-
-    x under_inv y = (y circ x) star y^star
-    x over_inv y  = y^star star (y circ x)
-
-where ^circ and ^star denote group inverses. The four tables are built
-from the brace's 0-based view (`axioms._zero_based`) and their axioms
-checked in plain Python on those rows before they become 1-based
-`OperationTable`s; numpy is not imported here.
+where y^circ is the circ inverse of y. A biquandle is these two tables.
+They are built from the brace's 0-based view (`axioms._zero_based`) and
+their axioms checked in plain Python on those rows before they become
+1-based `OperationTable`s; numpy is not imported here.
 """
 
 from __future__ import annotations
@@ -38,9 +33,9 @@ class AxiomViolation(DomainError):
 
 
 class Biquandle(Record):
-    """Four operation tables on one carrier."""
+    """The two operation tables, under and over, on one carrier."""
 
-    __slots__ = ("n", "under", "over", "under_inv", "over_inv")
+    __slots__ = ("n", "under", "over")
 
 
 class AxiomCheck(Record):
@@ -66,20 +61,18 @@ class AxiomReport(Record):
 
 
 def derive_biquandle(brace: SkewBrace) -> Biquandle:
-    """Build the four derived tables of a brace and check every biquandle
+    """Build the two derived tables of a brace and check every biquandle
     axiom on them.
 
     AxiomViolation is raised on the first failure; a validated brace can
     never trigger it.
     """
     n = brace.n
-    c, s, ci, si = _zero_based(brace)
+    c, s, ci, _ = _zero_based(brace)
     xs = range(n)
     rows = (
         [tuple([c[ci[y]][s[x][y]] for y in xs]) for x in xs],   # under
         [tuple([c[ci[y]][s[y][x]] for y in xs]) for x in xs],   # over
-        [tuple([s[c[y][x]][si[y]] for y in xs]) for x in xs],   # under_inv
-        [tuple([s[si[y]][c[y][x]] for y in xs]) for x in xs],   # over_inv
     )
     report = _report(*rows)
     if not report.passed:
@@ -95,17 +88,16 @@ def _check_fixed_point(u: Rows, o: Rows) -> AxiomCheck:
     return AxiomCheck("fixed_point", True, None)
 
 
-def _check_right_invertible(u: Rows, o: Rows, ui: Rows, oi: Rows) -> AxiomCheck:
-    # y -> x op y is inverted column by column: (x op y) op_inv y = x
-    for x in range(len(u)):
-        for y in range(len(u)):
-            if not (
-                u[ui[x][y]][y] == x
-                and ui[u[x][y]][y] == x
-                and o[oi[x][y]][y] == x
-                and oi[o[x][y]][y] == x
-            ):
+def _check_right_invertible(u: Rows, o: Rows) -> AxiomCheck:
+    # for each y, x -> x op y is a bijection: no column of U or O repeats a
+    # value. The witness is the first cell whose value an earlier row of
+    # its column has
+    seen = set()
+    for x, (ux, ox) in enumerate(zip(u, o)):
+        for y, (uxy, oxy) in enumerate(zip(ux, ox)):
+            if ("u", y, uxy) in seen or ("o", y, oxy) in seen:
                 return AxiomCheck("right_invertible", False, (x + 1, y + 1))
+            seen.update((("u", y, uxy), ("o", y, oxy)))
     return AxiomCheck("right_invertible", True, None)
 
 
@@ -150,10 +142,10 @@ def _check_exchange(u: Rows, o: Rows) -> list[AxiomCheck]:
     ]
 
 
-def _report(u: Rows, o: Rows, ui: Rows, oi: Rows) -> AxiomReport:
+def _report(u: Rows, o: Rows) -> AxiomReport:
     checks = [
         _check_fixed_point(u, o),
-        _check_right_invertible(u, o, ui, oi),
+        _check_right_invertible(u, o),
         _check_pair_bijective(u, o),
     ]
     checks.extend(_check_exchange(u, o))
@@ -161,9 +153,10 @@ def _report(u: Rows, o: Rows, ui: Rows, oi: Rows) -> AxiomReport:
 
 
 def verify_biquandle_axioms(bq: Biquandle) -> AxiomReport:
-    """Exhaustively check all biquandle axioms on arbitrary four tables.
+    """Exhaustively check all biquandle axioms on arbitrary under and over
+    tables.
 
     Failures are report content, never exceptions, so corrupted tables can
     be inspected. Witnesses are the first counterexample in row-major order.
     """
-    return _report(*map(_zero_based_rows, (bq.under, bq.over, bq.under_inv, bq.over_inv)))
+    return _report(_zero_based_rows(bq.under), _zero_based_rows(bq.over))

@@ -81,4 +81,4 @@ def _format_tables(first: OperationTable, second: OperationTable) -> str:
 
 def load_brace_file(path: str) -> SkewBrace:
     with open(path, encoding="utf-8") as fh:
-        return parse_brace_file(fh.read())
+        return parse_brace_file(fh.read().removeprefix("\ufeff"))

@@ -43,7 +43,9 @@ class _UsageError(Exception):
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            # a leading BOM is dropped here, not by "utf-8-sig", so that a
+            # decode error's byte offset counts from the start of the file
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise _UsageError(
             f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"

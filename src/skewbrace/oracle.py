@@ -34,15 +34,15 @@ def brute_force_colorings(
         raise ValueError(f"brute force space {total} exceeds limit {limit}")
 
     bq = derived_biquandle(brace)
-    u, o, u_inv, o_inv = (_lookup(t.rows) for t in (bq.under, bq.over, bq.under_inv, bq.over_inv))
+    u, o = _lookup(bq.under.rows), _lookup(bq.over.rows)
     # (table, a, b, dst): a coloring p needs table[p[a]][p[b]] == p[dst]
     checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(s)]
     for c in system.constraints:
         ui, oi, uo, oo = c.under_in, c.over_in, c.under_out, c.over_out
         if c.sign > 0:
-            rels = ((u, ui, oo, uo), (o_inv, oi, ui, oo))
+            rels = ((u, ui, oo, uo), (o, oo, ui, oi))
         else:
-            rels = ((u_inv, ui, oi, uo), (o, oi, uo, oo))
+            rels = ((u, uo, oi, ui), (o, oi, uo, oo))
         checks[max(ui, oi, uo, oo)].extend(rels)
 
     colors = range(1, n + 1)

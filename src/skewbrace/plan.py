@@ -7,10 +7,15 @@ semiarcs together by
     out_u = in_u <| out_o        in_o = out_o |> in_u
 
 and at a negative crossing the same two equations hold with incoming and
-outgoing arcs exchanged. Completing a crossing from its two entering arcs
-(or its two leaving arcs) is a bijection of pairs under these relations,
-which is what makes kink and poke insertions preserve colorings inside
-any ambient diagram.
+outgoing arcs exchanged:
+
+    in_u = out_u <| in_o         out_o = in_o |> out_u
+
+So (in_u, out_o) fix the other two arcs of a positive crossing and
+(out_u, in_o) those of a negative one. Completing a crossing from its two
+entering arcs (or its two leaving arcs) is a bijection of pairs under
+these relations, which is what makes kink and poke insertions preserve
+colorings inside any ambient diagram.
 
 A digit row tries every value on one semiarc. A lookup row reads one
 semiarc's value off its own table at the values of one or two bound
@@ -18,12 +23,12 @@ ones, and binds it: it writes the semiarc if no earlier row bound it,
 and otherwise keeps only the partial colorings that agree. The compiler
 completes one crossing at a time, by one rule: a crossing completes as
 soon as one or two of its bound semiarcs, a basis, pick at most one of
-its solutions. It solves each crossing pattern ahead of time, from its
-two entering slots, and emits a filter that drops the basis values no
-solution takes, if some are missing, then one lookup row for each other
-semiarc, checks before writes. When no crossing left has a basis, it
-places a digit at the crossing with the fewest open semiarcs, so each
-one unlocks as much propagation as possible.
+its solutions. It solves each crossing pattern ahead of time, from the
+two slots that fix the other two, and emits a filter that drops the
+basis values no solution takes, if some are missing, then one lookup row
+for each other semiarc, checks before writes. When no crossing left has
+a basis, it places a digit at the crossing with the fewest open
+semiarcs, so each one unlocks as much propagation as possible.
 
 The plan is done once every crossing is complete. A semiarc that no
 crossing touches, the one semiarc of a zero-crossing component, gets no
@@ -46,12 +51,10 @@ __all__ = ["derived_biquandle"]
 
 Table = tuple[tuple[int, ...], ...]
 
-# the crossing relations per sign, as (dst, table, src_a, src_b) over the
-# slot tuple (in_u, in_o, out_u, out_o) and the table stack (U, O, Ui, Oi):
-# slot[dst] = table(slot[src_a], slot[src_b]). Each relation reads only
-# slots set before it, so they complete a crossing from its two entering
-# slots (in_u, in_o).
-_FROM_ENTERING = {1: ((3, 3, 1, 0), (2, 0, 0, 3)), -1: ((2, 2, 0, 1), (3, 1, 1, 2))}
+# the crossing relations per sign, as (p, q, dst_u, dst_o) over the slot
+# tuple (in_u, in_o, out_u, out_o): slot[dst_u] = slot[p] <| slot[q] and
+# slot[dst_o] = slot[q] |> slot[p]
+_RELATIONS = {1: (0, 3, 2, 1), -1: (2, 1, 0, 3)}
 
 
 def _lookup(rows: Sequence[Sequence[int]]) -> Table:
@@ -70,16 +73,17 @@ def derived_biquandle(brace: SkewBrace) -> Biquandle:
 def _solutions(bq: Biquandle, sign: int, labels: tuple[int, int, int, int]) -> list[list[int]]:
     """A crossing's solutions, each the colors of its distinct semiarcs in
     label order; labels is the first-occurrence labeling of the crossing's
-    slot tuple. The two entering slots fix the other two, so the crossing
+    slot tuple. Two slots, (in_u, out_o) at a positive crossing and
+    (out_u, in_o) at a negative one, fix the other two, so the crossing
     has n*n solutions over its slots; those that give repeated semiarcs
     one color are the solutions over the labels."""
-    tb = (bq.under.rows, bq.over.rows, bq.under_inv.rows, bq.over_inv.rows)
+    u, o = _lookup(bq.under.rows), _lookup(bq.over.rows)
+    p, q, dst_u, dst_o = _RELATIONS[sign]
     firsts = [labels.index(i) for i in range(max(labels) + 1)]
     sol = []
     for x, y in product(range(1, bq.n + 1), repeat=2):
-        slot = [x, y, 0, 0]
-        for dst, t, a, b in _FROM_ENTERING[sign]:
-            slot[dst] = tb[t][slot[a] - 1][slot[b] - 1]
+        slot = [0] * 4
+        slot[p], slot[q], slot[dst_u], slot[dst_o] = x, y, u[x][y], o[y][x]
         g = [slot[j] for j in firsts]
         if [g[lab] for lab in labels] == slot:
             sol.append(g)

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import skewbrace
-from skewbrace import build_constraints, enumerate_colorings, format_brace_file, parse_gauss_code
+from skewbrace import (
+    build_constraints,
+    enumerate_colorings,
+    format_brace_file,
+    load_brace_file,
+    parse_gauss_code,
+)
 from skewbrace.bundled import bundled_brace_path, bundled_links_path
 from skewbrace import cli
 from skewbrace.cli import main
@@ -584,6 +590,26 @@ def test_non_utf8_input_is_an_io_error(argv, tmp_path):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("error: ") and str(bad) in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "BRACE"), ("invariant", NAB6, "LINKS", "--name", "trefoil")],
+    ids=["brace", "links"],
+)
+def test_a_leading_byte_order_mark_is_dropped(capsys, argv, tmp_path):
+    """A file saved with a UTF-8 BOM reads as the same file without one,
+    though its first line is a comment (nab6.txt) or names a link."""
+    texts = {"BRACE": Path(NAB6).read_text(), "LINKS": "trefoil := O1+ U2+ O3+ U1+ O2+ U3+\n"}
+    runs = []
+    for bom in ("", "\ufeff"):
+        paths = {key: tmp_path / f"{key}{len(bom)}.txt" for key in texts}
+        for key, path in paths.items():
+            path.write_text(bom + texts[key], encoding="utf-8")
+        runs.append(run(capsys, *(str(paths.get(a, a)) for a in argv)))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+    assert load_brace_file(str(paths["BRACE"])) == load_brace_file(NAB6)
 
 
 def test_batch_output(capsys):

@@ -139,6 +139,41 @@ def crossing_maps(brace):
     return plus, minus
 
 
+# the 15 set partitions of a crossing's four slots, each as the
+# first-occurrence labeling of the slot tuple (in_u, in_o, out_u, out_o)
+SLOT_LABELINGS = [
+    labels
+    for labels in product(range(4), repeat=4)
+    if all(lab <= max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels))
+]
+
+
+def test_every_crossing_pattern_solves_as_a_direct_search(braces):
+    """A crossing pattern's solutions are the colorings of its distinct
+    semiarcs that satisfy the sign's two equations, found here by trying
+    every coloring."""
+    assert len(SLOT_LABELINGS) == 15
+    cases = [*braces.values(), load_brace_file(str(Path(__file__).with_name("q8_witness.txt")))]
+    for brace in cases:
+        bq = derived_biquandle(brace)
+        u, o = bq.under.value, bq.over.value
+
+        def holds(sign, in_u, in_o, out_u, out_o):
+            if sign > 0:
+                return out_u == u(in_u, out_o) and in_o == o(out_o, in_u)
+            return in_u == u(out_u, in_o) and out_o == o(in_o, out_u)
+
+        for sign, labels in product((1, -1), SLOT_LABELINGS):
+            found = [tuple(g) for g in _solutions(bq, sign, labels)]
+            direct = {
+                g
+                for g in product(range(1, brace.n + 1), repeat=max(labels) + 1)
+                if holds(sign, *[g[lab] for lab in labels])
+            }
+            assert len(found) == len(set(found))
+            assert set(found) == direct, (brace.n, sign, labels)
+
+
 def test_crossing_relations_satisfy_r2_and_r3(braces):
     """`moves` makes only R1 and R2 insertions, so R3 is checked on the
     crossing relations themselves: S+ is a bijection of X^2 that S-

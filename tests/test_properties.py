@@ -80,7 +80,7 @@ def test_gauss_round_trip_on_move_walks(link, seed, moves):
 
 @given(
     name=st.sampled_from(BRACE_NAMES),
-    table=st.integers(min_value=0, max_value=3),
+    table=st.integers(min_value=0, max_value=1),
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)
@@ -90,17 +90,11 @@ def test_any_single_entry_corruption_breaks_an_axiom(name, table, data):
     x = data.draw(st.integers(1, n))
     y = data.draw(st.integers(1, n))
     delta = data.draw(st.integers(1, n - 1))
-    tables = [bq.under, bq.over, bq.under_inv, bq.over_inv]
+    tables = [bq.under, bq.over]
     rows = [list(row) for row in tables[table].rows]
     rows[x - 1][y - 1] = (rows[x - 1][y - 1] - 1 + delta) % n + 1
     tables[table] = OperationTable(n, rows)
-    corrupted = Biquandle(
-        n=n,
-        under=tables[0],
-        over=tables[1],
-        under_inv=tables[2],
-        over_inv=tables[3],
-    )
+    corrupted = Biquandle(n=n, under=tables[0], over=tables[1])
     report = verify_biquandle_axioms(corrupted)
     assert not report.passed
     assert not report["right_invertible"].passed

@@ -43,7 +43,7 @@ FIELDS = {
     OperationTable: ("n", "rows"),
     FiniteGroup: ("table", "identity", "inverse"),
     SkewBrace: ("n", "circ", "star"),
-    Biquandle: ("n", "under", "over", "under_inv", "over_inv"),
+    Biquandle: ("n", "under", "over"),
     AxiomCheck: ("name", "passed", "witness"),
     AxiomReport: ("checks",),
     Passage: ("crossing", "over", "sign"),

@@ -141,7 +141,7 @@ def test_relabelled_star_table_witness(name, data):
     assert got == want
 
 
-def reference_axioms(u, o, ui, oi):
+def reference_axioms(u, o):
     """{check name: witness or None} by scalar scans in row-major order."""
     n = len(u)
     xs = range(1, n + 1)
@@ -149,7 +149,7 @@ def reference_axioms(u, o, ui, oi):
     def at(t):
         return lambda a, b: t[a - 1][b - 1]
 
-    U, O, UI, OI = at(u), at(o), at(ui), at(oi)
+    U, O = at(u), at(o)
 
     def first(cells, bad):
         return next((cell for cell in cells if bad(*cell)), None)
@@ -167,11 +167,10 @@ def reference_axioms(u, o, ui, oi):
 
     return {
         "fixed_point": first([(x,) for x in xs], lambda x: U(x, x) != O(x, x)),
+        # the first cell whose value an earlier row of its U or O column has
         "right_invertible": first(
             pairs,
-            lambda x, y: not (
-                U(UI(x, y), y) == x == UI(U(x, y), y) and O(OI(x, y), y) == x == OI(O(x, y), y)
-            ),
+            lambda x, y: any(T(w, y) == T(x, y) for T in (U, O) for w in range(1, x)),
         ),
         "pair_bijective": first(pairs, repeats),
         "exchange_1": first(triples, lambda x, y, z: U(U(x, y), U(z, y)) != U(U(x, z), O(y, z))),
@@ -182,18 +181,18 @@ def reference_axioms(u, o, ui, oi):
 
 @given(
     name=st.sampled_from(BRACE_NAMES),
-    table=st.integers(min_value=0, max_value=3),
+    table=st.integers(min_value=0, max_value=1),
     count=st.integers(min_value=1, max_value=3),
     data=st.data(),
 )
 @settings(max_examples=100, deadline=None)
 def test_axiom_witnesses_are_the_first_in_row_major_order(name, table, count, data):
     bq = derived_biquandle(braces[name])
-    tables = [rows_of(t) for t in (bq.under, bq.over, bq.under_inv, bq.over_inv)]
+    tables = [rows_of(bq.under), rows_of(bq.over)]
     tables[table] = corrupt(tables[table], data, count)
     want = reference_axioms(*tables)
-    u, o, ui, oi = (OperationTable.from_rows(t) for t in tables)
-    report = verify_biquandle_axioms(Biquandle(n=bq.n, under=u, over=o, under_inv=ui, over_inv=oi))
+    u, o = (OperationTable.from_rows(t) for t in tables)
+    report = verify_biquandle_axioms(Biquandle(n=bq.n, under=u, over=o))
     got = {check.name: check.witness for check in report.checks}
     assert got == want
     assert all(check.passed == (check.witness is None) for check in report.checks)
