@@ -36,7 +36,6 @@ _EXPORTS = {
     "load_brace_file": "bracefile",
     "Biquandle": "biquandle",
     "AxiomReport": "biquandle",
-    "AxiomViolation": "biquandle",
     "derive_biquandle": "biquandle",
     "derived_biquandle": "plan",
     "verify_biquandle_axioms": "biquandle",

@@ -164,6 +164,8 @@ def move_invariance_trials(
 ) -> MoveTrialResult:
     """Compare both polynomials across seeded random walks of 1 to 3 moves
     from d."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     import random
 
     from .moves import random_diagram_walk

@@ -128,6 +128,8 @@ def random_diagram_walk(
     d: LinkDiagram, rng: random.Random, max_moves: int = 3
 ) -> LinkDiagram:
     """Apply 1..max_moves random moves starting from d."""
+    if max_moves < 1:
+        raise ValueError(f"max_moves must be at least 1, got {max_moves}")
     out = d
     for _ in range(rng.randint(1, max_moves)):
         out = random_move(out, rng)

@@ -14,6 +14,7 @@ class with it cost a CLI job more than the work of a small diagram.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 __all__ = [
     "DomainError",
@@ -137,6 +138,19 @@ def _index(x: int, n: int) -> int:
     return x - 1
 
 
+def _entry(v, i: int, j: int, n: int) -> int:
+    """Entry v at 0-based row i, column j of an n x n table, as an int."""
+    try:
+        k = index(v)
+    except TypeError:
+        raise TableMalformed(
+            f"entry {v!r} at row {i + 1}, column {j + 1} is not an integer"
+        ) from None
+    if not 1 <= k <= n:
+        raise TableMalformed(f"entry {k} at row {i + 1}, column {j + 1} is outside 1..{n}")
+    return k
+
+
 def _shape(entries) -> tuple[int, ...]:
     """The shape of nested sequences `entries`, read along first items."""
     out = []
@@ -159,19 +173,12 @@ class OperationTable(Record):
     __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
-        try:
-            kept = tuple(tuple(int(v) for v in row) for row in rows)
-        except TypeError:
-            kept = None
         shape = _shape(rows)
-        if shape != (n, n) or kept is None or any(len(row) != n for row in kept):
+        if shape != (n, n) or any(_shape(row)[:1] != (n,) for row in rows):
             raise TableMalformed(f"expected a {n}x{n} table, got shape {shape}")
-        for i, row in enumerate(kept):
-            for j, v in enumerate(row):
-                if not 1 <= v <= n:
-                    raise TableMalformed(
-                        f"entry {v} at row {i + 1}, column {j + 1} is outside 1..{n}"
-                    )
+        kept = tuple(
+            tuple(_entry(v, i, j, n) for j, v in enumerate(row)) for i, row in enumerate(rows)
+        )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", kept)
         object.__setattr__(self, "_hash", hash((n, kept)))

@@ -170,6 +170,12 @@ def test_move_trials_pass_and_are_seeded(braces, links):
     assert r1.first_mismatch is None and r1.mismatch_code is None
 
 
+def test_move_trials_reject_a_negative_count(braces, links):
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -3$"):
+        move_invariance_trials(braces["nab6"], links["trefoil"], trials=-3, seed=0)
+    assert move_invariance_trials(braces["nab6"], links["trefoil"], trials=0, seed=0).trials == 0
+
+
 def test_move_trials_report_the_first_mismatch(braces, monkeypatch):
     # a walk that adds a component changes both polynomials
     monkeypatch.setattr(

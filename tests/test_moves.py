@@ -103,6 +103,12 @@ def test_random_walk_is_seed_deterministic(links):
     assert a == b
 
 
+@pytest.mark.parametrize("max_moves", [0, -2])
+def test_a_walk_needs_at_least_one_move(links, max_moves):
+    with pytest.raises(ValueError, match=f"^max_moves must be at least 1, got {max_moves}$"):
+        random_diagram_walk(links["trefoil"], random.Random(0), max_moves=max_moves)
+
+
 def test_moves_preserve_counting_invariant(braces, links):
     brace = braces["nab6"]
     base = counting_invariant(brace, links["trefoil"])

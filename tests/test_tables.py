@@ -60,6 +60,7 @@ def test_table_owns_its_entries():
     before = hash(table)
     view[0, 0] = 2
     assert table.rows == tuple(map(tuple, CYCLIC4))
+    assert all(type(v) is int for row in table.rows for v in row)
     assert hash(table) == before == hash(OperationTable.from_rows(CYCLIC4))
 
 
@@ -233,3 +234,19 @@ def test_out_of_range_entry_names_the_first_in_row_major_order():
     with pytest.raises(TableMalformed) as exc:
         OperationTable(3, np.array([[1, 2, 3], [2, 4, 0], [3, 1, 5]]))
     assert str(exc.value) == "entry 4 at row 2, column 2 is outside 1..3"
+
+
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        ([[1, 2], [2, 1.7]], "1.7 at row 2, column 2"),
+        ([[1, "2"], [2, 1]], "'2' at row 1, column 2"),
+        ([[1, 2], [[2], 1]], "[2] at row 2, column 1"),
+        ([[1, 2.0], [2, 9]], "2.0 at row 1, column 2"),  # first in row-major order
+    ],
+    ids=["float", "str", "list", "before-out-of-range"],
+)
+def test_entries_that_are_not_integers_are_named(entries, text):
+    with pytest.raises(TableMalformed) as exc:
+        OperationTable(2, entries)
+    assert str(exc.value) == f"entry {text} is not an integer"
