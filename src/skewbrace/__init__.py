@@ -35,10 +35,11 @@ _EXPORTS = {
     "format_brace_file": "bracefile",
     "load_brace_file": "bracefile",
     "Biquandle": "biquandle",
-    "AxiomReport": "biquandle",
     "derive_biquandle": "biquandle",
     "derived_biquandle": "plan",
-    "verify_biquandle_axioms": "biquandle",
+    "AxiomCheck": "properties",
+    "AxiomReport": "properties",
+    "verify_biquandle_axioms": "properties",
     "r_map": "properties",
     "is_involutive": "axioms",
     "EmptyGenerators": "substructures",
@@ -73,7 +74,6 @@ _EXPORTS = {
     "sb_polynomial": "invariants",
     "ideal_polynomial": "invariants",
     "both_polynomials": "invariants",
-    "specialize": "properties",
     "exponent_profile": "properties",
     "move_invariance_trials": "invariants",
     "bundled_brace_names": "bundled",

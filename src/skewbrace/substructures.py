@@ -41,14 +41,13 @@ Subset = frozenset[int]
 
 
 class EmptyGenerators(ValueError):
-    def __init__(self) -> None:
-        super().__init__("closure of the empty set is not defined")
+    pass
 
 
 def _require_nonempty(s) -> set[int]:
     out = set(s)
     if not out:
-        raise EmptyGenerators()
+        raise EmptyGenerators("closure of the empty set is not defined")
     return out
 
 

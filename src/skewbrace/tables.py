@@ -13,6 +13,7 @@ class with it cost a CLI job more than the work of a small diagram.
 
 from __future__ import annotations
 
+import copyreg
 from collections.abc import Sequence
 from operator import index
 
@@ -84,6 +85,11 @@ class DomainError(ValueError):
     """Base class of the errors the CLI reports with exit 1: invalid
     tables, biquandles or Gauss codes, impossible moves, and searches past
     their budget. It lives here because every command loads this module."""
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild an error from its message and witness
+        # attributes, without calling the subclass's __init__ again
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(DomainError):

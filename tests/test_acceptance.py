@@ -26,7 +26,6 @@ from skewbrace import (
     both_polynomials,
     parse_gauss_code,
     r_map,
-    specialize,
     validate_skew_brace,
 )
 from skewbrace.plan import derived_biquandle
@@ -124,8 +123,8 @@ def test_criterion_7_specialization(braces, links):
     for bn, ln in PAIRS:
         count = counting_invariant(braces[bn], links[ln])
         sb, ideal = both_polynomials(braces[bn], links[ln])
-        assert specialize(sb) == count
-        assert specialize(ideal) == count
+        assert sb.specialize() == count
+        assert ideal.specialize() == count
     _ok(7, "both polynomials specialize to the coloring count on all 30 pairs")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from lambda_braces import brace_of, d8, lambda_maps, q8
 
-import skewbrace.biquandle
+import skewbrace.properties
 from skewbrace import (
     Biquandle,
     OperationTable,
@@ -154,7 +154,12 @@ def test_deriving_runs_no_axiom_check(braces, monkeypatch):
     def refuse(*args):
         raise AssertionError("derive_biquandle ran an axiom check")
 
-    monkeypatch.setattr(skewbrace.biquandle, "_check_law", refuse)
+    checks = [name for name in vars(skewbrace.properties) if name.startswith("_check_")]
+    assert len(checks) == 4
+    for name in checks:
+        monkeypatch.setattr(skewbrace.properties, name, refuse)
+    with pytest.raises(AssertionError, match="ran an axiom check"):
+        verify_biquandle_axioms(expected["nab6"])
     for name, brace in braces.items():
         assert derive_biquandle(brace) == expected[name]
 

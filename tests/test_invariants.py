@@ -23,7 +23,6 @@ from skewbrace import (
     move_invariance_trials,
     parse_gauss_code,
     sb_polynomial,
-    specialize,
 )
 
 from conftest import random_code, trivial_cyclic_brace
@@ -97,8 +96,8 @@ def test_specialization_recovers_count(braces, links):
     for (bn, ln) in FIXTURES:
         count = counting_invariant(braces[bn], links[ln])
         sb, ideal = both_polynomials(braces[bn], links[ln])
-        assert specialize(sb) == count
-        assert specialize(ideal) == count
+        assert sb.specialize() == count
+        assert ideal.specialize() == count
 
 
 def test_exponents_divide_group_order(braces, links):

@@ -2,7 +2,8 @@
 
 Each record is an immutable value: built by position or by its field
 names, equal only to an instance of the same class with equal fields,
-hashable to match, and kept whole by pickle and deepcopy.
+hashable to match, and kept whole by pickle and deepcopy. The package's
+errors are kept whole by pickle and copy too.
 """
 
 from __future__ import annotations
@@ -12,14 +13,9 @@ import pickle
 
 import pytest
 
+import skewbrace
 from skewbrace import bundled_links, load_bundled_brace
-from skewbrace.biquandle import (
-    AxiomCheck,
-    AxiomReport,
-    Biquandle,
-    derive_biquandle,
-    verify_biquandle_axioms,
-)
+from skewbrace.biquandle import Biquandle, derive_biquandle
 from skewbrace.gauss import (
     CrossingConstraint,
     LinkDiagram,
@@ -35,8 +31,14 @@ from skewbrace.invariants import (
     move_invariance_trials,
 )
 from skewbrace.plan import CompiledPlan, _compile
-from skewbrace.properties import ExponentProfile, exponent_profile
-from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace
+from skewbrace.properties import (
+    AxiomCheck,
+    AxiomReport,
+    ExponentProfile,
+    exponent_profile,
+    verify_biquandle_axioms,
+)
+from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace, TableMalformed
 
 # every record class with its constructor's field names, in order
 FIELDS = {
@@ -187,3 +189,40 @@ def test_repr_is_the_dataclass_form():
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_instances_are_slotted(cls):
     assert not hasattr(INSTANCES[cls], "__dict__")
+
+
+# one instance of every error class the package exports, and TableMalformed
+ERRORS = [
+    skewbrace.DomainError("no such thing"),
+    skewbrace.ValidationError("not a brace"),
+    TableMalformed("empty brace file"),
+    skewbrace.NotAssociative(1, 2, 3, "circ"),
+    skewbrace.NoIdentity("circ"),
+    skewbrace.NoInverse(2, "star"),
+    skewbrace.DistributiveLawFails(1, 2, 3),
+    skewbrace.IdentityMismatch(1, 2),
+    skewbrace.EmptyGenerators("closure of the empty set is not defined"),
+    skewbrace.GaussCodeError("bad code"),
+    skewbrace.GaussSyntaxError(4, "expected O or U"),
+    skewbrace.CrossingUsedWrong(2),
+    skewbrace.SignMismatch(3),
+    skewbrace.InvalidLocation("no component 3"),
+    skewbrace.SearchTooLarge("too many colorings"),
+]
+
+
+def test_every_exported_error_class_has_an_instance():
+    exported = {getattr(skewbrace, name) for name in skewbrace.__all__}
+    exported = {x for x in exported if isinstance(x, type) and issubclass(x, BaseException)}
+    assert exported <= {type(e) for e in ERRORS}
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+def test_errors_survive_pickle_and_copy(error):
+    for again in (
+        pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)
+    ):
+        assert type(again) is type(error)
+        assert str(again) == str(error)
+        assert again.args == error.args
+        assert vars(again) == vars(error)

@@ -51,7 +51,10 @@ POLYNOMIALS = COLORING | {"closures", "invariants"}
 # defines: no link command loads them, since every module a job loads adds
 # the code it keeps to the job's peak RSS
 LIBRARY_ONLY = {
-    "properties": ["r_map", "specialize", "ExponentProfile", "exponent_profile"],
+    "properties": [
+        "AxiomCheck", "AxiomReport", "verify_biquandle_axioms", "r_map", "ExponentProfile",
+        "exponent_profile",
+    ],
     "substructures": [
         "EmptyGenerators", "group_closure", "biquandle_closure", "ideal_closure", "is_ideal",
         "enumerate_ideals",
