@@ -70,11 +70,9 @@ _EXPORTS = {
     "SearchTooLarge": "coloring",
     "Polynomial2": "invariants",
     "Polynomial1": "invariants",
-    "ExponentProfile": "properties",
     "sb_polynomial": "invariants",
     "ideal_polynomial": "invariants",
     "both_polynomials": "invariants",
-    "exponent_profile": "properties",
     "move_invariance_trials": "invariants",
     "bundled_brace_names": "bundled",
     "load_bundled_brace": "bundled",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .bracefile import load_brace_file
 from .gauss import LinkDiagram, parse_link_file
@@ -18,10 +18,9 @@ __all__ = [
 ]
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
-
-
-def _data_root():
-    return resources.files("skewbrace") / "data"
+# found next to this file: on Python 3.13 `importlib.resources` imports
+# `inspect` and `typing`
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def bundled_brace_names() -> tuple[str, ...]:
@@ -31,11 +30,11 @@ def bundled_brace_names() -> tuple[str, ...]:
 def bundled_brace_path(name: str) -> str:
     if name not in BRACE_NAMES:
         raise KeyError(f"no bundled brace named {name!r}; have {BRACE_NAMES}")
-    return str(_data_root() / "braces" / f"{name}.txt")
+    return os.path.join(_DATA, "braces", f"{name}.txt")
 
 
 def bundled_links_path() -> str:
-    return str(_data_root() / "links.txt")
+    return os.path.join(_DATA, "links.txt")
 
 
 @lru_cache(maxsize=None)

@@ -12,14 +12,17 @@ before. Termination follows from finiteness. A group closure needs less:
 it is every product of the generators, so each round multiplies only its
 new members by them.
 
-`invariants._image_profile` runs these masks for every link command that
-computes a polynomial. The closures over frozensets and the ideals, which
-no link command needs, are in `substructures`.
+`_joins` lists every closed mask of such a closure: the sub-skew-braces
+that `invariants` counts colorings over, and the ideals. The closures over
+frozensets and the ideals, which no link command needs, are in
+`substructures`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
+from math import inf
 from typing import TYPE_CHECKING
 
 from .axioms import _zero_based
@@ -117,3 +120,17 @@ def _biquandle_mask(bq: Biquandle, m: int) -> int:
 
 def _ideal_mask(brace: SkewBrace, m: int) -> int:
     return _fixpoint(_ideal_pairs(brace), m)
+
+
+def _joins(close: Callable[[int], int], n: int, cap: float = inf) -> set[int]:
+    """Every close(S), S a subset of the n elements, 0 among them since
+    close(0) = 0; or more than `cap` of them. A closed mask joined with one
+    element closes to a closed mask, so adding one element at a time
+    reaches them all."""
+    found = {0}
+    for x in range(n):
+        if len(found) > cap:
+            break
+        bit = 1 << x
+        found |= {m if m & bit else close(m | bit) for m in found}
+    return found

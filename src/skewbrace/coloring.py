@@ -20,11 +20,11 @@ The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
 times semiarcs). A digit row that would pass that bound cuts the frontier
 into chunks that pass it within the bound and pushes them onto one stack
 of blocks, the first chunk on top, which keeps the order. The count has
-no other bound. Enumeration and the polynomials run the count's search
-and raise `SearchTooLarge` once the colorings the partial colorings found
-complete to would pass the same bound. `enumeration.sorted_columns` then
-sorts them and fills in the free semiarcs, and `_color_set_counts` folds
-them into counts per used-color set without making the colorings.
+no other bound. Enumeration and the polynomials' count over the whole
+brace run the count's search and raise `SearchTooLarge` once the
+colorings the partial colorings found complete to would pass the same
+bound. `enumeration.sorted_columns` then sorts them and fills in the free
+semiarcs; `invariants` counts over each sub-skew-brace with `_count`.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -32,11 +32,10 @@ Everything here is plain Python over `bytearray`, `array` and tuples.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from collections.abc import Callable, Iterator, MutableSequence
 from functools import partial
 from itertools import compress
-from operator import eq, getitem, or_
+from operator import eq, getitem
 
 from .gauss import LinkDiagram
 from .plan import CompiledPlan, _compiled_for
@@ -126,7 +125,10 @@ def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
     no effect; `perfbench/traced_job.py` passes it, so it goes with the
     next benchmark change (ROADMAP item 1).
     """
-    cp = _compiled_for(brace, d)
+    return _count(_compiled_for(brace, d))
+
+
+def _count(cp: CompiledPlan) -> int:
     return sum(m for m, _ in _frontiers(cp)) * cp.n ** len(cp.free)
 
 
@@ -146,31 +148,6 @@ def _survivors(cp: CompiledPlan) -> Iterator[Block]:
                 f" pass the budget of {_FRONTIER_CELLS} cells"
             )
         yield m, cols
-
-
-def _color_set_counts(brace: SkewBrace, d: LinkDiagram) -> dict[int, int]:
-    """How many colorings use each set of colors, keyed by the set as a
-    bitmask (bit x - 1 for color x), without making the colorings.
-
-    Each partial coloring `_survivors` leaves ORs its columns into its
-    mask, under the enumeration's budget. Each free semiarc then widens
-    every mask by each color in turn.
-    """
-    cp = _compiled_for(brace, d)
-    bit = [0] + [1 << x for x in range(cp.n)]
-    counts: dict[int, int] = Counter()
-    for m, cols in _survivors(cp):
-        keys = [0] * m
-        for col in cols.values():
-            keys = list(map(or_, keys, map(bit.__getitem__, col)))
-        counts.update(keys)
-    for _ in cp.free:
-        wider: dict[int, int] = {}
-        for key, c in counts.items():
-            for b in bit[1:]:
-                wider[key | b] = wider.get(key | b, 0) + c
-        counts = wider
-    return counts
 
 
 def enumerate_colorings(brace: SkewBrace, d: LinkDiagram) -> list[Coloring]:

@@ -1,9 +1,7 @@
-"""The biquandle axiom checker, a brace's Yang-Baxter map r, and a check
-on polynomials' exponents.
+"""The biquandle axiom checker and a brace's Yang-Baxter map r.
 
-`verify_biquandle_axioms` checks every biquandle axiom on any two tables,
-and `exponent_profile` lists a polynomial's terms u^a v^b with a != b.
-They serve the library and the tests: no command imports this module, so
+`verify_biquandle_axioms` checks every biquandle axiom on any two tables.
+It serves the library and the tests: no command imports this module, so
 no command compiles it.
 """
 
@@ -16,15 +14,12 @@ from .tables import Record, SkewBrace
 
 if TYPE_CHECKING:
     from .biquandle import Biquandle
-    from .invariants import Polynomial2
 
 __all__ = [
     "AxiomCheck",
     "AxiomReport",
     "verify_biquandle_axioms",
     "r_map",
-    "ExponentProfile",
-    "exponent_profile",
 ]
 
 
@@ -124,13 +119,3 @@ def r_map(brace: SkewBrace, x: int, y: int) -> tuple[int, int]:
     circ, star = brace.circ, brace.star
     a = star.op(star.inv(x), circ.op(x, y))
     return a, circ.op(circ.op(circ.inv(a), x), y)
-
-
-class ExponentProfile(Record):
-    __slots__ = ("uniform", "counterexamples")
-
-
-def exponent_profile(p: Polynomial2) -> ExponentProfile:
-    """Report whether every term has equal u- and v-exponents."""
-    bad = tuple((a, b) for a, b, _ in p.sorted_terms() if a != b)
-    return ExponentProfile(uniform=not bad, counterexamples=bad)

@@ -3,9 +3,9 @@
 Subsets come in as any iterable of 1-based elements and go out as
 frozensets; the ambient structure is passed alongside rather than stored.
 Each closure converts its subset to a bitmask and runs the kernel in
-`closures`. The ideals are enumerated over the same masks, by joining
-ideal closures of singletons; `is_ideal` checks the conditions directly
-and is the independent oracle.
+`closures`. The ideals are enumerated over the same masks, as the ideal
+closures `closures._joins` lists; `is_ideal` checks the conditions
+directly and is the independent oracle.
 
 Only `skewbrace ideals` imports this module, so no link command compiles
 it.
@@ -13,6 +13,7 @@ it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .closures import (
@@ -21,6 +22,7 @@ from .closures import (
     _group_mask,
     _ideal_mask,
     _ideal_pairs,
+    _joins,
     _members,
 )
 from .tables import FiniteGroup, SkewBrace, _index
@@ -108,22 +110,11 @@ def _sort_key(s: Subset):
 def enumerate_ideals(brace: SkewBrace) -> list[Subset]:
     """All nonempty ideals, ascending by size then lexicographically.
 
-    Every ideal is the ideal closure of the union of its members'
-    singleton closures, so a worklist that joins each ideal found with
-    each singleton closure reaches all of them at any carrier size. The
-    empty set vacuously satisfies the conditions but is excluded; the
-    output always includes {e} and the full carrier.
+    Every ideal is the ideal closure of its own members, so the ideal
+    closures of all subsets, which `_joins` lists at any carrier size,
+    are every ideal. The empty set vacuously satisfies the conditions but
+    is excluded; the output always includes {e} and the full carrier.
     """
-    pair = _ideal_pairs(brace)
-    singles = {_fixpoint(pair, 1 << x) for x in range(brace.n)}
-    found = set(singles)
-    work = list(singles)
-    while work:
-        m = work.pop()
-        for s in singles:
-            if s & ~m:
-                j = _fixpoint(pair, m | s)
-                if j not in found:
-                    found.add(j)
-                    work.append(j)
+    found = _joins(partial(_fixpoint, _ideal_pairs(brace)), brace.n)
+    found.discard(0)
     return sorted(map(_from_mask, found), key=_sort_key)

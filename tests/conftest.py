@@ -11,6 +11,7 @@ from skewbrace import (
     OperationTable,
     bundled_brace_names,
     bundled_links,
+    load_brace_file,
     load_bundled_brace,
     validate_skew_brace,
 )
@@ -38,6 +39,14 @@ def trivial_cyclic_brace(n):
     return validate_skew_brace(add, add)
 
 
+def trivial_xor_brace(k):
+    """The trivial skew brace on (Z_2)^k, both operations XOR; element
+    x + 1 stands for the bit vector x. Its sub-skew-braces are the
+    subspaces of F_2^k: 374 for k = 5, 2,825 for k = 6."""
+    xor = OperationTable.from_rows([[(x ^ y) + 1 for y in range(1 << k)] for x in range(1 << k)])
+    return validate_skew_brace(xor, xor)
+
+
 def random_code(rng: random.Random, crossings: int, components: int) -> str:
     """A random signed Gauss code: every crossing once over and once under
     with one random sign, shuffled and cut into `components` components.
@@ -63,3 +72,13 @@ def braces():
 def links():
     return bundled_links()
 
+
+@pytest.fixture(scope="session")
+def census(braces):
+    """The bundled braces, the Q8 witness and the 48 lambda-map braces
+    over Q8 and D8 (`tests/lambda_braces.py`)."""
+    from lambda_braces import brace_of, d8, lambda_maps, q8
+
+    lam = [brace_of(t, m) for t in (q8(), d8()) for m in lambda_maps(t)]
+    witness = load_brace_file(str(ROOT / "tests" / "q8_witness.txt"))
+    return [*braces.values(), witness, *lam]

@@ -26,7 +26,7 @@ from skewbrace import cli
 from skewbrace.cli import main
 from skewbrace.usage import build_parser
 
-from conftest import trivial_cyclic_brace
+from conftest import trivial_cyclic_brace, trivial_xor_brace
 
 NAB6 = bundled_brace_path("nab6")
 Z4K = bundled_brace_path("z4_klein")
@@ -246,6 +246,21 @@ def test_polynomials_past_the_budget_are_a_domain_error(argv, tmp_path):
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
     assert out.stderr == BUDGET_ERROR
+
+
+def test_polynomials_past_the_sub_brace_cap_are_a_domain_error(tmp_path):
+    """(Z_2)^6 has 2,825 sub-skew-braces, past the 1,024 the polynomials
+    count over; its count has no such cap."""
+    path = tmp_path / "z2_6.txt"
+    path.write_text(format_brace_file(trivial_xor_brace(6)))
+    out = run_process("invariant", str(path), "O1+ / U1+", "--type", "sb")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == (
+        "error: the brace has more than 1024 sub-skew-braces,"
+        " the most the polynomials count over\n"
+    )
+    out = run_process("invariant", str(path), "O1+ / U1+")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "4096\n", "")
 
 
 WIDE_UNLINK = " / ".join(["-"] * 1200)

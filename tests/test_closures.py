@@ -207,3 +207,22 @@ def test_group_closure_matches_fixpoint(braces):
                 want = _fixpoint(pair, m)
                 got = group_closure(group, {x + 1 for x in range(brace.n) if m >> x & 1})
                 assert got == {x + 1 for x in range(brace.n) if want >> x & 1}
+
+
+# the nonempty biquandle-closed subsets of the 55 census braces
+CLOSED_SETS = 1889
+
+
+def test_a_biquandle_closed_set_has_one_group_closure(census):
+    """For X closed under <| and |>, <X>_circ = <X>_star (README,
+    "Invariants"): the image of every coloring generates one sub-skew-
+    brace, so every term of the two-variable polynomial is (uv)^|G|. Checked
+    on every biquandle-closed subset of each census brace."""
+    closed = 0
+    for brace in census:
+        bq = derived_biquandle(brace)
+        for t in _all_subsets(brace.n):
+            if biquandle_closure(bq, t) == t:
+                closed += 1
+                assert group_closure(brace.circ, t) == group_closure(brace.star, t)
+    assert closed == CLOSED_SETS

@@ -17,6 +17,7 @@ from skewbrace import (
     Polynomial1,
     Polynomial2,
     SearchTooLarge,
+    biquandle_closure,
     both_polynomials,
     brute_force_colorings,
     build_constraints,
@@ -25,6 +26,8 @@ from skewbrace import (
     derived_biquandle,
     enumerate_colorings,
     format_brace_file,
+    group_closure,
+    ideal_closure,
     is_ideal,
     load_bundled_brace,
     parse_gauss_code,
@@ -201,11 +204,23 @@ def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, compo
 
 
 def per_coloring_polynomials(brace, d) -> tuple[Polynomial2, Polynomial1]:
-    """Both polynomials from every enumerated coloring's color set."""
+    """Both polynomials from every enumerated coloring's color set, each
+    closed by the `substructures` closures."""
+    bq = derived_biquandle(brace)
+
+    @cache
+    def profile(colors):
+        image = biquandle_closure(bq, colors)
+        return (
+            len(group_closure(brace.circ, image)),
+            len(group_closure(brace.star, image)),
+            len(ideal_closure(brace, image)),
+        )
+
     terms2: Counter = Counter()
     terms1: Counter = Counter()
     for row in enumerate_colorings(brace, d):
-        a, b, c = invariants._image_profile(brace, sum(1 << (x - 1) for x in set(row)))
+        a, b, c = profile(frozenset(row))
         terms2[a, b] += 1
         terms1[c] += 1
     return Polynomial2(dict(terms2)), Polynomial1(dict(terms1))
@@ -257,19 +272,20 @@ def test_polynomials_raise_the_enumeration_budget_errors(monkeypatch):
 
 
 def test_profile_cache_is_keyed_by_brace():
-    # nab6 and cyc6 close 12 of their color sets to different profiles,
-    # {2} to (3, 3, 3) on nab6 and to (6, 6, 6) on cyc6
+    # the profiles are cached per brace as its sub-skew-braces: nab6 and
+    # cyc6 have ones of the same sizes but different masks, {1, 2, 3} and
+    # {1, 6} on nab6 against {1, 3, 5} and {1, 4} on cyc6
     rng = random.Random(11)
     codes = [
         parse_gauss_code(random_code(rng, rng.randint(0, 5), rng.randint(1, 3)))
         for _ in range(30)
     ]
     pair = (braces["nab6"], braces["cyc6"])
-    invariants._image_profile.cache_clear()
+    invariants._sub_braces.cache_clear()
     interleaved = [[both_polynomials(brace, d) for brace in pair] for d in codes]
     for d, got in zip(codes, interleaved):
         for brace, polys in zip(pair, got):
-            invariants._image_profile.cache_clear()
+            invariants._sub_braces.cache_clear()
             assert both_polynomials(brace, d) == polys
 
 

@@ -34,8 +34,6 @@ from skewbrace.plan import CompiledPlan, _compile
 from skewbrace.properties import (
     AxiomCheck,
     AxiomReport,
-    ExponentProfile,
-    exponent_profile,
     verify_biquandle_axioms,
 )
 from skewbrace.tables import FiniteGroup, OperationTable, SkewBrace, TableMalformed
@@ -55,7 +53,6 @@ FIELDS = {
     CompiledPlan: ("plan", "n", "semiarc_count", "free"),
     Polynomial2: ("terms",),
     Polynomial1: ("terms",),
-    ExponentProfile: ("uniform", "counterexamples"),
     MoveTrialResult: (
         "trials", "all_invariant", "base_sb", "base_ideal", "first_mismatch", "mismatch_code"
     ),
@@ -83,7 +80,6 @@ def _instances() -> dict[type, object]:
         _compile(bq, system),
         sb,
         ideal,
-        exponent_profile(sb),
         move_invariance_trials(brace, diagram, trials=2, seed=0),
     ]
     return {type(x): x for x in found}
@@ -181,9 +177,6 @@ def test_repr_is_the_dataclass_form():
     )
     assert repr(Polynomial2({(1, 1): 2})) == "Polynomial2(terms={(1, 1): 2})"
     assert repr(Polynomial1()) == "Polynomial1(terms={})"
-    assert repr(ExponentProfile(True, ())) == (
-        "ExponentProfile(uniform=True, counterexamples=())"
-    )
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)

@@ -52,8 +52,7 @@ POLYNOMIALS = COLORING | {"closures", "invariants"}
 # the code it keeps to the job's peak RSS
 LIBRARY_ONLY = {
     "properties": [
-        "AxiomCheck", "AxiomReport", "verify_biquandle_axioms", "r_map", "ExponentProfile",
-        "exponent_profile",
+        "AxiomCheck", "AxiomReport", "verify_biquandle_axioms", "r_map",
     ],
     "substructures": [
         "EmptyGenerators", "group_closure", "biquandle_closure", "ideal_closure", "is_ideal",
