@@ -277,6 +277,10 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone (`| head`): the exit flush goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,13 +8,15 @@ The plan runs breadth first over a frontier of partial colorings, held
 as a dict of one column per bound semiarc: a `bytearray` of the colors
 1..n, or for carriers of 256 elements or more an unsigned 16-bit
 `array`, the type picked once from n. A digit row repeats every partial
-coloring n times and tiles the new digit. A lookup row maps two columns
-through its table of row tuples into its semiarc's column, or, if that
-is bound, drops the partial colorings that disagree from every column.
-A free semiarc never gets a column. Digit rows come in a
-fixed order, so the frontier is always in the lexicographic order of the
-digits chosen so far. Each partial coloring the whole plan leaves
-completes in exactly n**(free semiarcs) ways.
+coloring once per color it tries and tiles the new digit: every color,
+or only a sub-skew-brace's, whose colors every row maps back into it. A
+lookup row maps two columns through its table of row tuples into its
+semiarc's column, or, if that is bound, drops the partial colorings
+that disagree from every column. A free semiarc never gets a column.
+Digit rows come in a fixed order, so the frontier is always in the
+lexicographic order of the digits chosen so far. Each partial coloring
+the whole plan leaves completes in exactly k**(free semiarcs) ways, for
+k colors tried.
 
 The frontier holds at most `_FRONTIER_CELLS` cells (partial colorings
 times semiarcs). A digit row that would pass that bound cuts the frontier
@@ -24,7 +26,7 @@ no other bound. Enumeration and the polynomials' count over the whole
 brace run the count's search and raise `SearchTooLarge` once the
 colorings the partial colorings found complete to would pass the same
 bound. `enumeration.sorted_columns` then sorts them and fills in the free
-semiarcs; `invariants` counts over each sub-skew-brace with `_count`.
+semiarcs; `invariants` counts every sub-skew-brace on one plan.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -32,7 +34,7 @@ Everything here is plain Python over `bytearray`, `array` and tuples.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterator, MutableSequence
+from collections.abc import Callable, Iterator, MutableSequence, Sequence
 from functools import partial
 from itertools import compress
 from operator import eq, getitem
@@ -73,13 +75,13 @@ def _repeat(col: Column, n: int) -> Column:
     return out
 
 
-def _frontiers(cp: CompiledPlan) -> Iterator[Block]:
-    """Run the plan breadth first; yield the surviving partial colorings
-    as blocks (m, columns) in digit order, the columns keyed by semiarc."""
-    n, s = cp.n, cp.semiarc_count
+def _frontiers(cp: CompiledPlan, colors: Sequence[int]) -> Iterator[Block]:
+    """Run the plan breadth first, its digit rows trying `colors`; yield
+    the surviving partial colorings as `Block`s, in digit order."""
+    n, s = len(colors), cp.semiarc_count
     rows = cp.plan
-    column = _column_type(n)
-    digits = column(range(1, n + 1))
+    column = _column_type(cp.n)
+    digits = column(colors)
     step = _FRONTIER_CELLS // (n * s)
     # the blocks still to run, as (first row, m, columns), the next on top
     stack: list[tuple[int, int, dict[int, Column]]] = [(0, 1, {})]
@@ -125,11 +127,14 @@ def counting_invariant(brace: SkewBrace, d: LinkDiagram, jobs: int | None = None
     no effect; `perfbench/traced_job.py` passes it, so it goes with the
     next benchmark change (ROADMAP item 1).
     """
-    return _count(_compiled_for(brace, d))
+    cp = _compiled_for(brace, d)
+    return _count(cp, range(1, cp.n + 1))
 
 
-def _count(cp: CompiledPlan) -> int:
-    return sum(m for m, _ in _frontiers(cp)) * cp.n ** len(cp.free)
+def _count(cp: CompiledPlan, colors: Sequence[int]) -> int:
+    """The colorings with every semiarc in `colors`: all n, or a
+    sub-skew-brace's, which every row maps into itself or to 0."""
+    return sum(m for m, _ in _frontiers(cp, colors)) * len(colors) ** len(cp.free)
 
 
 def _survivors(cp: CompiledPlan) -> Iterator[Block]:
@@ -140,7 +145,7 @@ def _survivors(cp: CompiledPlan) -> Iterator[Block]:
     # the cells of the colorings each partial coloring completes to
     cells = n ** len(cp.free) * s
     found = 0
-    for m, cols in _frontiers(cp):
+    for m, cols in _frontiers(cp, range(1, n + 1)):
         found += m
         if found * cells > _FRONTIER_CELLS:
             raise SearchTooLarge(

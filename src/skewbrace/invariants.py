@@ -4,7 +4,8 @@ Each coloring contributes one monomial determined by closures of its
 image, where the image of a coloring is the biquandle closure of the set
 of colors it uses. Its circ- and star-group closures are one sub-skew-
 brace, so both polynomials follow from one coloring count per sub-skew-
-brace. Setting every variable to 1 recovers the coloring count.
+brace, all on the diagram's one plan. Setting every variable to 1
+recovers the coloring count.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from collections import Counter
 from functools import lru_cache
 from typing import ClassVar
 
-from .biquandle import Biquandle
 from .closures import _biquandle_mask, _group_mask, _ideal_mask, _joins, _members
 from .coloring import SearchTooLarge, _count, _survivors
-from .gauss import LinkDiagram, build_constraints, format_gauss_code
-from .plan import _compile, derived_biquandle
-from .tables import OperationTable, Record, SkewBrace
+from .gauss import LinkDiagram, format_gauss_code
+from .plan import _compiled_for, derived_biquandle
+from .tables import Record, SkewBrace
 
 __all__ = [
     "Polynomial2",
@@ -107,24 +107,12 @@ class Polynomial1(_Polynomial):
 _MAX_SUB_BRACES = 1024
 
 
-def _restrict(bq: Biquandle, g: int) -> Biquandle | None:
-    """The biquandle on the members of mask g, relabelled 1..|g| in their
-    order, or None if x <| y = x |> y = x on them."""
-    xs = _members(g)
-    k = len(xs)
-    label = {x + 1: i for i, x in enumerate(xs, 1)}
-    u, o = ([[label[t.rows[x][y]] for y in xs] for x in xs] for t in (bq.under, bq.over))
-    if u == o == [[i] * k for i in range(1, k + 1)]:
-        return None
-    return Biquandle(k, OperationTable(k, u), OperationTable(k, o))
-
-
 @lru_cache(maxsize=64)
-def _sub_braces(brace: SkewBrace) -> tuple[tuple[int, int, Biquandle | None], ...]:
-    """The sub-skew-braces G that colorings generate, ascending by size:
-    each one's mask, the size of its ideal closure I(G) and `_restrict`'s
-    biquandle, the derived biquandle itself for the whole brace, which
-    comes last. Raises SearchTooLarge past `_MAX_SUB_BRACES` of them.
+def _sub_braces(brace: SkewBrace) -> tuple[tuple[int, int, tuple[int, ...] | None], ...]:
+    """The sub-skew-braces G that colorings generate, ascending by size,
+    the whole brace last: each one's mask, the size of its ideal closure
+    I(G) and the colors in G, ascending, or None if x <| y = x |> y = x
+    on G. Raises SearchTooLarge past `_MAX_SUB_BRACES` of them.
 
     A coloring's colors generate G, the circ- and star-group closure of
     their biquandle closure X (README, "Invariants"), and I(X) = I(G)."""
@@ -138,30 +126,32 @@ def _sub_braces(brace: SkewBrace) -> tuple[tuple[int, int, Biquandle | None], ..
             " the most the polynomials count over"
         )
     found.discard(0)
-    full = (1 << brace.n) - 1
-    return tuple(
-        (g, _ideal_mask(brace, g).bit_count(), bq if g == full else _restrict(bq, g))
-        for g in sorted(found, key=lambda g: (g.bit_count(), g))
-    )
+    lattice = []
+    for g in sorted(found, key=lambda g: (g.bit_count(), g)):
+        xs = _members(g)
+        trivial = all(t.rows[x][y] == x + 1 for t in (bq.under, bq.over) for x in xs for y in xs)
+        colors = None if trivial else tuple([x + 1 for x in xs])
+        lattice.append((g, _ideal_mask(brace, g).bit_count(), colors))
+    return tuple(lattice)
 
 
 def both_polynomials(brace: SkewBrace, d: LinkDiagram) -> tuple[Polynomial2, Polynomial1]:
     """Both enhancements from one coloring count per sub-skew-brace.
 
     A coloring whose colors generate the sub-skew-brace G contributes
-    (uv)^|G| and u^|I(G)|. The colorings over G's own biquandle generate G
-    or a smaller sub-brace, so taking away those that generate each smaller
-    one, found first in size order, leaves G's (Moebius inversion). The
-    whole brace is counted first, by the enumeration's search, so it raises
-    its SearchTooLarge; on a trivial biquandle each component takes one
-    color."""
-    system = build_constraints(d)
+    (uv)^|G| and u^|I(G)|. The colorings over G generate G or a smaller
+    sub-brace, so taking away those that generate each smaller one, found
+    first in size order, leaves G's (Moebius inversion). One plan counts
+    them all, its digit rows trying only G's colors (README, "Invariants").
+    The whole brace is counted first, by the enumeration's search, so it
+    raises its SearchTooLarge; on a trivial biquandle each component takes
+    one color."""
+    cp = _compiled_for(brace, d)
     lattice = _sub_braces(brace)
-    cp = _compile(lattice[-1][2], system)
     whole = sum(m for m, _ in _survivors(cp)) * cp.n ** len(cp.free)
     counts = [
-        g.bit_count() ** d.component_count if sub is None else _count(_compile(sub, system))
-        for g, _, sub in lattice[:-1]
+        g.bit_count() ** d.component_count if colors is None else _count(cp, colors)
+        for g, _, colors in lattice[:-1]
     ]
     exact: dict[int, int] = {}
     terms2, terms1 = Counter(), Counter()

@@ -49,16 +49,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, **env_extra):
-    """Run `python -m skewbrace.cli` in a child with `src` on the path."""
+def child_env(**env_extra) -> dict[str, str]:
+    """The environment with `env_extra` set and `src` on the path."""
     env = dict(os.environ, **env_extra)
     path = [str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return env
+
+
+def run_process(*argv, **env_extra):
+    """Run `python -m skewbrace.cli` in a child with `src` on the path."""
     return subprocess.run(
         [sys.executable, "-m", "skewbrace.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(**env_extra),
     )
 
 
@@ -152,6 +157,23 @@ def test_color_output_spans_several_chunks(capsys):
     header = "# semiarc " + " ".join(map(str, range(build_constraints(d).semiarc_count)))
     want = "".join(line + "\n" for line in [header, *(" ".join(map(str, row)) for row in rows)])
     assert run(capsys, "color", NAB6, code) == (0, want, "")
+
+
+def test_color_into_a_closed_pipe_exits_2_in_silence():
+    """`color ... | head -1`: the reader closes the pipe after one line of
+    46,656 colorings. The CLI stops with exit code 2 and writes nothing
+    to stderr, neither an error line nor a failed flush at exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewbrace.cli", "color", NAB6, "- / - / - / - / - / -"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == b"# semiarc 0 1 2 3 4 5\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (2, b"")
 
 
 def test_color_holds_no_object_per_coloring():

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from skewbrace import (
     OperationTable,
     Polynomial1,
     Polynomial2,
+    SearchTooLarge,
     biquandle_closure,
     both_polynomials,
     build_constraints,
@@ -32,9 +34,10 @@ from skewbrace import (
     sb_polynomial,
     validate_skew_brace,
 )
+from skewbrace import coloring, plan
 from skewbrace.coloring import _count
 from skewbrace.invariants import _sub_braces
-from skewbrace.plan import _compile
+from skewbrace.plan import _compile, _compiled_for, _completion
 
 from conftest import random_code, trivial_cyclic_brace
 
@@ -131,9 +134,8 @@ def _restriction(bq, g) -> Biquandle:
 def test_sub_braces_are_the_closures_of_all_subsets(census):
     """The lattice lists close(S), the circ-group closure of the
     biquandle closure, for every nonempty subset S, ascending by size and
-    the whole brace last with the derived biquandle itself; each entry
-    carries its ideal closure's size and its biquandle relabelled, None
-    when x <| y = x |> y = x on it."""
+    the whole brace last; each entry carries its ideal closure's size and
+    its colors, None when x <| y = x |> y = x on it."""
     for brace in census:
         bq = derived_biquandle(brace)
         elems = range(1, brace.n + 1)
@@ -146,16 +148,19 @@ def test_sub_braces_are_the_closures_of_all_subsets(census):
         got = [frozenset(x + 1 for x in range(brace.n) if g >> x & 1) for g, _, _ in lattice]
         assert len(got) == len(want) and set(got) == want
         assert [len(g) for g in got] == sorted(map(len, got))
-        assert lattice[-1][2] is bq
-        for (g, ideal, sub), members in zip(lattice, got):
+        assert got[-1] == frozenset(elems)
+        for (g, ideal, colors), members in zip(lattice, got):
             assert ideal == len(ideal_closure(brace, members))
-            if sub is not bq:
-                r = _restriction(bq, g)
-                trivial = OperationTable.from_rows([[x] * r.n for x in range(1, r.n + 1)])
-                assert sub == (None if r.under == r.over == trivial else r)
+            r = _restriction(bq, g)
+            trivial = OperationTable.from_rows([[x] * r.n for x in range(1, r.n + 1)])
+            assert colors == (None if r.under == r.over == trivial else tuple(sorted(members)))
 
 
 BRACES = {name: load_bundled_brace(name) for name in bundled_brace_names()}
+
+
+def _colors(g) -> tuple[int, ...]:
+    return tuple(x + 1 for x in range(g.bit_length()) if g >> x & 1)
 
 
 @given(
@@ -168,12 +173,76 @@ def test_a_trivial_sub_brace_keeps_each_component_one_color(rng, crossings, comp
     """`both_polynomials` counts a sub-skew-brace with a trivial biquandle
     as |G| ** components, with no search."""
     d = parse_gauss_code(random_code(rng, crossings, components))
-    system = build_constraints(d)
     for brace in BRACES.values():
+        cp = _compiled_for(brace, d)
+        for g, _, colors in _sub_braces(brace)[:-1]:
+            if colors is None:
+                assert _count(cp, _colors(g)) == g.bit_count() ** components
+
+
+# the first-occurrence labels of a crossing's slots (in_u, in_o, out_u,
+# out_o): a semiarc has one head and one tail, so in_u != in_o and
+# out_u != out_o, which leaves 7 patterns
+LABELS = sorted(
+    {
+        tuple(sorted(set(t), key=t.index).index(x) for x in t)
+        for t in product(range(4), repeat=4)
+        if t[0] != t[1] and t[2] != t[3]
+    }
+)
+
+
+def test_every_row_maps_a_sub_brace_into_itself(census):
+    """The lemma in README "Invariants": every row the compiler can emit
+    maps basis colors in a sub-skew-brace G to 0 or into G, on every
+    census brace, proper sub-brace, sign, label pattern and set of bound
+    labels. So a plan whose digit rows try only G's colors leaves exactly
+    the colorings over G."""
+    assert len(LABELS) == 7
+    rows = 0
+    for brace in census:
         bq = derived_biquandle(brace)
-        for g, _, sub in _sub_braces(brace)[:-1]:
-            if sub is None:
-                assert _count(_compile(_restriction(bq, g), system)) == g.bit_count() ** components
+        for g, _, _ in _sub_braces(brace)[:-1]:
+            inside = {0, *_colors(g)}
+            for sign, labels in product((1, -1), LABELS):
+                k = max(labels) + 1
+                for known in product((False, True), repeat=k):
+                    for *_, tab in _completion(bq, sign, labels, known) or ():
+                        rows += 1
+                        assert {tab[x][y] for x in inside for y in inside} <= inside
+    assert rows > 30000
+
+
+def test_restricted_counts_equal_counts_over_the_relabelled_biquandle(census):
+    """On every census brace with a proper sub-skew-brace whose biquandle
+    is not trivial, the whole brace's plan with G's colors counts what a
+    plan compiled over G's own biquandle, relabelled 1..|G|, counts."""
+    rng = random.Random(39)
+    cases = 0
+    for brace in census:
+        bq = derived_biquandle(brace)
+        subs = [(g, c) for g, _, c in _sub_braces(brace)[:-1] if c is not None]
+        for _ in range(4 if subs else 0):
+            d = parse_gauss_code(random_code(rng, rng.randint(0, 7), rng.randint(1, 3)))
+            system = build_constraints(d)
+            cp = _compiled_for(brace, d)
+            for g, colors in subs:
+                own = _compile(_restriction(bq, g), system)
+                assert _count(cp, colors) == _count(own, range(1, own.n + 1))
+                cases += 1
+    assert cases >= 100
+
+
+def test_both_polynomials_compile_one_plan(census, monkeypatch):
+    """Every sub-skew-brace is counted on the one plan compiled for the
+    whole brace."""
+    calls = []
+    monkeypatch.setattr(plan, "_compile", lambda *a: calls.append(1) or _compile(*a))
+    d = parse_gauss_code("O1+ U2- O4- U1+ O3+ U4- O2- U3+ / O5+ U5+")
+    for brace in [BRACES["dih8"], *census]:
+        calls.clear()
+        both_polynomials(brace, d)
+        assert len(calls) == 1
 
 
 def _relabelled(brace, p):
@@ -206,6 +275,76 @@ def test_relabelling_the_brace_keeps_every_invariant(data, name, rng, crossings,
     d = parse_gauss_code(random_code(rng, crossings, components))
     assert counting_invariant(other, d) == counting_invariant(brace, d)
     assert both_polynomials(other, d) == both_polynomials(brace, d)
+
+
+def _recoded(code: str, rng: random.Random) -> str:
+    """The same diagram written another way: each component's cyclic word
+    rotated, the crossings renumbered and the components shuffled."""
+    words = [c.split() for c in code.split(" / ")]
+    ids = sorted({t[1:-1] for w in words for t in w if t != "-"})
+    new = dict(zip(ids, map(str, rng.sample(range(1, 100), len(ids)))))
+    comps = []
+    for w in words:
+        k = rng.randrange(len(w))
+        comps.append(" ".join(t if t == "-" else t[0] + new[t[1:-1]] + t[-1] for t in w[k:] + w[:k]))
+    rng.shuffle(comps)
+    return " / ".join(comps)
+
+
+@given(
+    name=st.sampled_from(sorted(BRACES)),
+    rng=st.randoms(use_true_random=False),
+    crossings=st.integers(0, 8),
+    components=st.integers(1, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_recoding_the_diagram_keeps_every_invariant(name, rng, crossings, components):
+    """A metamorphic relation that needs no oracle: the recoded diagram
+    gets another plan, in another crossing order, but the same count and
+    polynomials."""
+    brace = BRACES[name]
+    code = random_code(rng, crossings, components)
+    d, other = parse_gauss_code(code), parse_gauss_code(_recoded(code, rng))
+    assert counting_invariant(brace, other) == counting_invariant(brace, d)
+    assert both_polynomials(brace, other) == both_polynomials(brace, d)
+
+
+@given(
+    name=st.sampled_from(sorted(BRACES)),
+    rng=st.randoms(use_true_random=False),
+    crossings=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    components=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_split_union_multiplies_every_sub_brace_count(name, rng, crossings, components):
+    """A metamorphic relation past brute force: a coloring of L1 ⊔ L2 is
+    a pair of colorings, and it lies in G when both do, so the count over
+    every sub-skew-brace G multiplies, and the union's polynomials are the
+    Moebius inversion of the products. Two 12-crossing pieces make a
+    24-crossing union."""
+    brace = BRACES[name]
+    first = random_code(rng, crossings[0], components[0])
+    # the second piece's crossings renamed past the first's
+    second = random_code(rng, crossings[1], components[1])
+    second = re.sub(r"\d+", lambda m: str(int(m.group()) + 12), second)
+    pieces = [parse_gauss_code(code) for code in (first, second)]
+    plans = [_compiled_for(brace, piece) for piece in pieces]
+    union = parse_gauss_code(f"{first} / {second}")
+    count = counting_invariant(brace, union)
+    assert count == counting_invariant(brace, pieces[0]) * counting_invariant(brace, pieces[1])
+    exact: dict[int, int] = {}
+    terms2, terms1 = Counter(), Counter()
+    for g, ideal, _ in _sub_braces(brace):
+        both = _count(plans[0], _colors(g)) * _count(plans[1], _colors(g))
+        exact[g] = both - sum(e for h, e in exact.items() if h & ~g == 0)
+        terms2[g.bit_count(), g.bit_count()] += exact[g]
+        terms1[ideal] += exact[g]
+    if count * build_constraints(union).semiarc_count > coloring._FRONTIER_CELLS:
+        # past the enumeration's budget, which the polynomials keep
+        with pytest.raises(SearchTooLarge):
+            both_polynomials(brace, union)
+    else:
+        assert both_polynomials(brace, union) == (Polynomial2(terms2), Polynomial1(terms1))
 
 
 def test_specialization_recovers_count(braces, links):

@@ -203,9 +203,9 @@ def test_polynomials_match_powerset_oracle_on_random_codes(rng, crossings, compo
             assert both_polynomials(brace, d) == reference_polynomials(name, d)
 
 
-def per_coloring_polynomials(brace, d) -> tuple[Polynomial2, Polynomial1]:
-    """Both polynomials from every enumerated coloring's color set, each
-    closed by the `substructures` closures."""
+def per_coloring_polynomials(brace, colorings) -> tuple[Polynomial2, Polynomial1]:
+    """Both polynomials from every coloring's color set, each closed by
+    the `substructures` closures."""
     bq = derived_biquandle(brace)
 
     @cache
@@ -219,7 +219,7 @@ def per_coloring_polynomials(brace, d) -> tuple[Polynomial2, Polynomial1]:
 
     terms2: Counter = Counter()
     terms1: Counter = Counter()
-    for row in enumerate_colorings(brace, d):
+    for row in colorings:
         a, b, c = profile(frozenset(row))
         terms2[a, b] += 1
         terms1[c] += 1
@@ -241,7 +241,24 @@ def test_polynomials_match_enumeration_on_padded_links(name):
         comps = code.split(" / ") + ["-"] * k
         rng.shuffle(comps)
         d = parse_gauss_code(" / ".join(comps))
-        assert both_polynomials(brace, d) == per_coloring_polynomials(brace, d)
+        assert both_polynomials(brace, d) == per_coloring_polynomials(
+            brace, enumerate_colorings(brace, d)
+        )
+
+
+def test_polynomials_match_per_coloring_oracle_on_the_census(census):
+    """Both polynomials against ones from brute-force colorings, each
+    color set closed, on random codes over the 55 census braces, 30 of
+    which have a proper sub-skew-brace whose biquandle is not trivial."""
+    rng = random.Random(55)
+    cases = 0
+    while cases < 200:
+        brace = census[cases % len(census)]
+        d = parse_gauss_code(random_code(rng, rng.randint(0, 3), rng.randint(1, 3)))
+        if brace.n ** build_constraints(d).semiarc_count <= ORACLE_SPACE:
+            want = per_coloring_polynomials(brace, brute_force_colorings(brace, d))
+            assert both_polynomials(brace, d) == want
+            cases += 1
 
 
 def budget_error(call, *args) -> str:
@@ -271,10 +288,10 @@ def test_polynomials_raise_the_enumeration_budget_errors(monkeypatch):
     assert messages["more"] >= 20 and sum(messages.values()) - messages["more"] >= 20
 
 
-def test_profile_cache_is_keyed_by_brace():
-    # the profiles are cached per brace as its sub-skew-braces: nab6 and
-    # cyc6 have ones of the same sizes but different masks, {1, 2, 3} and
-    # {1, 6} on nab6 against {1, 3, 5} and {1, 4} on cyc6
+def test_sub_brace_cache_is_keyed_by_brace():
+    # the sub-skew-braces are cached per brace: nab6 and cyc6 have ones of
+    # the same sizes but different masks, {1, 2, 3} and {1, 6} on nab6
+    # against {1, 3, 5} and {1, 4} on cyc6
     rng = random.Random(11)
     codes = [
         parse_gauss_code(random_code(rng, rng.randint(0, 5), rng.randint(1, 3)))
@@ -303,7 +320,7 @@ def frontier_rows(cp) -> list[list[int]]:
     with every choice of colors on the free semiarcs in turn. Each block
     has a column for every semiarc but the free ones."""
     rows = []
-    for m, cols in coloring._frontiers(cp):
+    for m, cols in coloring._frontiers(cp, range(1, cp.n + 1)):
         assert sorted([*cols, *cp.free]) == list(range(cp.semiarc_count))
         for i in range(m):
             for colors in product(range(1, cp.n + 1), repeat=len(cp.free)):
@@ -321,7 +338,7 @@ def test_chunked_search_matches_unchunked(monkeypatch):
     for name, d in chunk_cases():
         brace = braces[name]
         cp = _compiled_for(brace, d)
-        assert len(list(coloring._frontiers(cp))) <= 1
+        assert len(list(coloring._frontiers(cp, range(1, cp.n + 1)))) <= 1
         whole = frontier_rows(cp)
         count = counting_invariant(brace, d)
         cols = enumerate_colorings(brace, d)
@@ -331,7 +348,7 @@ def test_chunked_search_matches_unchunked(monkeypatch):
         two_rows = 2 * brace.n * cp.semiarc_count
         monkeypatch.setattr(coloring, "_FRONTIER_CELLS", two_rows)
         assert counting_invariant(brace, d) == count
-        chunked += len(list(coloring._frontiers(cp))) > 1
+        chunked += len(list(coloring._frontiers(cp, range(1, cp.n + 1)))) > 1
         # the chunks come out in the unchunked order
         assert frontier_rows(cp) == whole
         monkeypatch.setattr(
@@ -378,7 +395,7 @@ def test_sorted_columns_sort_the_frontier(monkeypatch):
         assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
         budget = max(2 * brace.n * cp.semiarc_count, len(whole) * cp.semiarc_count)
         monkeypatch.setattr(coloring, "_FRONTIER_CELLS", budget)
-        chunked += len(list(coloring._frontiers(cp))) > 1
+        chunked += len(list(coloring._frontiers(cp, range(1, cp.n + 1)))) > 1
         assert [list(row) for row in zip(*enumeration.sorted_columns(brace, d))] == whole
         monkeypatch.undo()
     assert chunked >= 20
