@@ -2,16 +2,28 @@
 rows for the circ table, one blank line, n rows for the star table.
 
 A parsed file is validated as a skew brace before it is returned.
+
+`load_link` reads a link argument as the CLI takes it, a link file or an
+inline Gauss code, and imports `gauss` only when called. It lives here,
+not next to the parsers in `gauss`, because every command compiles this
+module early, while a larger `gauss` raised the peak RSS of the link
+commands that compile it later. Both loaders read files through
+`tables.read_text`.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+from typing import TYPE_CHECKING
 
 from .axioms import validate_skew_brace
-from .tables import OperationTable, SkewBrace, TableMalformed
+from .tables import InputError, OperationTable, SkewBrace, TableMalformed, read_text
 
-__all__ = ["parse_brace_file", "format_brace_file", "load_brace_file"]
+if TYPE_CHECKING:
+    from .gauss import LinkDiagram
+
+__all__ = ["parse_brace_file", "format_brace_file", "load_brace_file", "load_link"]
 
 
 def _digits_past_limit(text: str) -> int:
@@ -80,5 +92,27 @@ def _format_tables(first: OperationTable, second: OperationTable) -> str:
 
 
 def load_brace_file(path: str) -> SkewBrace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_brace_file(fh.read().removeprefix("\ufeff"))
+    return parse_brace_file(read_text(path))
+
+
+def load_link(arg: str, name: str | None) -> LinkDiagram:
+    """A link argument is a file of named links or an inline Gauss code:
+    the file's link `name`, or its only link when `name` is None."""
+    from .gauss import looks_like_gauss_code, parse_gauss_code, parse_link_file
+
+    if os.path.exists(arg):
+        links = parse_link_file(read_text(arg))
+        if not links:
+            raise InputError(f"no links defined in {arg}")
+        if name is None:
+            if len(links) > 1:
+                raise InputError(f"{arg} defines {len(links)} links; pick one with --name")
+            name = next(iter(links))
+        if name not in links:
+            raise InputError(f"no link named {name!r} in {arg}")
+        return links[name]
+    if name is not None:
+        raise InputError("--name only applies when the link argument is a file")
+    if not looks_like_gauss_code(arg):
+        raise InputError(f"link argument is neither an existing file nor a Gauss code: {arg}")
+    return parse_gauss_code(arg)

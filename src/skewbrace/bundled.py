@@ -1,4 +1,8 @@
-"""Access to the structure tables and link codes shipped with the package."""
+"""Access to the structure tables and link codes shipped with the package.
+
+The bundled files are read as a user's files are, through
+`tables.read_text`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from functools import lru_cache
 
 from .bracefile import load_brace_file
 from .gauss import LinkDiagram, parse_link_file
-from .tables import SkewBrace
+from .tables import SkewBrace, read_text
 
 __all__ = [
     "bundled_brace_names",
@@ -44,5 +48,4 @@ def load_bundled_brace(name: str) -> SkewBrace:
 
 @lru_cache(maxsize=1)
 def bundled_links() -> dict[str, LinkDiagram]:
-    with open(bundled_links_path(), encoding="utf-8") as fh:
-        return parse_link_file(fh.read())
+    return parse_link_file(read_text(bundled_links_path()))

@@ -2,11 +2,15 @@
 
 Exit codes: 0 success, 1 domain error (a failed move check, or a
 `DomainError`: invalid brace, bad Gauss code, a coloring search past its
-frontier budget) with the witness printed, 2 usage or IO error.
+frontier budget) with the witness printed, 2 usage or IO error (an
+`InputError` or `OSError`), or output into a pipe its reader closed.
+`main` flushes stdout itself, so no error escapes at the exit flush.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables`, `axioms` and `bracefile` are imported at the top, since
-every command reads and validates a brace. No command imports numpy, and
+every command reads and validates a brace. Input files are read by
+`tables.read_text`, and a link argument by `bracefile.load_link`, which
+imports `gauss` only when called. No command imports numpy, and
 no module imports this one: run as `python -m skewbrace.cli`, it is
 `__main__`, so importing `skewbrace.cli` would compile it a second time.
 
@@ -24,32 +28,12 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .axioms import is_involutive, is_star_commutative
-from .bracefile import _format_tables, parse_brace_file
-from .tables import DomainError, SkewBrace
-
-if TYPE_CHECKING:
-    from .gauss import LinkDiagram
+from .bracefile import _format_tables, load_brace_file, load_link
+from .tables import DomainError, InputError, SkewBrace, read_text
 
 __all__ = ["main"]
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            # a leading BOM is dropped here, not by "utf-8-sig", so that a
-            # decode error's byte offset counts from the start of the file
-            return fh.read().removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise _UsageError(
-            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from None
 
 
 def _trial_count(text: str) -> int:
@@ -66,32 +50,8 @@ def _trial_count(text: str) -> int:
 
 def _load_brace(path: str) -> SkewBrace:
     if not os.path.exists(path):
-        raise _UsageError(f"brace file not found: {path}")
-    return parse_brace_file(_read_text(path))
-
-
-def _load_link(arg: str, name: str | None) -> LinkDiagram:
-    """A link argument is a file of named links or an inline Gauss code."""
-    from .gauss import looks_like_gauss_code, parse_gauss_code, parse_link_file
-
-    if os.path.exists(arg):
-        links = parse_link_file(_read_text(arg))
-        if not links:
-            raise _UsageError(f"no links defined in {arg}")
-        if name is None:
-            if len(links) > 1:
-                raise _UsageError(
-                    f"{arg} defines {len(links)} links; pick one with --name"
-                )
-            name = next(iter(links))
-        if name not in links:
-            raise _UsageError(f"no link named {name!r} in {arg}")
-        return links[name]
-    if name is not None:
-        raise _UsageError("--name only applies when the link argument is a file")
-    if not looks_like_gauss_code(arg):
-        raise _UsageError(f"link argument is neither an existing file nor a Gauss code: {arg}")
-    return parse_gauss_code(arg)
+        raise InputError(f"brace file not found: {path}")
+    return load_brace_file(path)
 
 
 def _cmd_validate(args) -> int:
@@ -124,7 +84,7 @@ def _cmd_color(args) -> int:
     from .enumeration import sorted_columns, write_colorings
 
     brace = _load_brace(args.brace)
-    diagram = _load_link(args.link, args.name)
+    diagram = load_link(args.link, args.name)
     write_colorings(sorted_columns(brace, diagram), brace.n, sys.stdout.write)
     return 0
 
@@ -137,7 +97,7 @@ def _cmd_invariant(args) -> int:
     else:
         from .invariants import ideal_polynomial as invariant
     brace = _load_brace(args.brace)
-    diagram = _load_link(args.link, args.name)
+    diagram = load_link(args.link, args.name)
     value = invariant(brace, diagram)
     if args.json:
         import json
@@ -153,7 +113,7 @@ def _cmd_check_moves(args) -> int:
     from .invariants import move_invariance_trials
 
     brace = _load_brace(args.brace)
-    diagram = _load_link(args.link, args.name)
+    diagram = load_link(args.link, args.name)
     result = move_invariance_trials(
         brace, diagram, trials=args.trials, seed=args.seed
     )
@@ -175,8 +135,8 @@ def _cmd_batch(args) -> int:
 
     brace = _load_brace(args.brace)
     if not os.path.exists(args.linkfile):
-        raise _UsageError(f"link file not found: {args.linkfile}")
-    links = parse_link_file(_read_text(args.linkfile))
+        raise InputError(f"link file not found: {args.linkfile}")
+    links = parse_link_file(read_text(args.linkfile))
     for name, diagram in links.items():
         sb, ideal = both_polynomials(brace, diagram)
         print(f"{name}: count={sb.specialize()} sb={sb} ideal={ideal}")
@@ -276,12 +236,16 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, not at exit, so a reader already gone is the
+        # BrokenPipeError below and not an error the interpreter prints
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # the reader is gone (`| head`): the exit flush goes to devnull, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (_UsageError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -5,6 +5,10 @@ Tables are tuples of row tuples. This module holds the values and the
 errors; the axiom checks that build a `FiniteGroup` or a `SkewBrace` are
 in `axioms`, and the text format in `bracefile`.
 
+`read_text` reads every text file a user gives, brace files and link
+files alike, and raises `InputError` on one that is not UTF-8: the one
+place that decides how such a file is decoded.
+
 `Record`, the immutable value base of every structure in the package,
 lives here because every command loads this module: importing
 `dataclasses` (which loads `inspect`, `ast` and `dis`) and decorating a
@@ -19,6 +23,8 @@ from operator import index
 
 __all__ = [
     "DomainError",
+    "InputError",
+    "read_text",
     "OperationTable",
     "FiniteGroup",
     "SkewBrace",
@@ -90,6 +96,26 @@ class DomainError(ValueError):
         # pickle and copy rebuild an error from its message and witness
         # attributes, without calling the subclass's __init__ again
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
+
+class InputError(ValueError):
+    """An input the CLI reports with exit 2, as it does an `OSError`: a
+    missing file, a file that is not UTF-8, or a link argument that names
+    no link. Not a `DomainError`: the input was never read as a brace or
+    a link."""
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`, a leading BOM dropped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # a leading BOM is dropped here, not by "utf-8-sig", so that a
+            # decode error's byte offset counts from the start of the file
+            return fh.read().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 class ValidationError(DomainError):

@@ -47,6 +47,20 @@ def trivial_xor_brace(k):
     return validate_skew_brace(xor, xor)
 
 
+def product_brace(b1, b2):
+    """The direct product B1 x B2, a skew brace with componentwise
+    operations; element (a, b) is (a - 1) * n2 + b."""
+    n2 = b2.n
+    pairs = [(a, b) for a in range(1, b1.n + 1) for b in range(1, n2 + 1)]
+
+    def table(g1, g2):
+        return OperationTable.from_rows(
+            [[(g1.op(a, c) - 1) * n2 + g2.op(b, d) for c, d in pairs] for a, b in pairs]
+        )
+
+    return validate_skew_brace(table(b1.circ, b2.circ), table(b1.star, b2.star))
+
+
 def random_code(rng: random.Random, crossings: int, components: int) -> str:
     """A random signed Gauss code: every crossing once over and once under
     with one random sign, shuffled and cut into `components` components.

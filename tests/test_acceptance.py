@@ -7,6 +7,7 @@ line per criterion.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -22,13 +23,18 @@ from skewbrace import (
     is_ideal,
     is_involutive,
     load_brace_file,
+    load_bundled_brace,
     move_invariance_trials,
     both_polynomials,
     parse_gauss_code,
+    Polynomial1,
+    Polynomial2,
     r_map,
     validate_skew_brace,
 )
 from skewbrace.plan import derived_biquandle
+
+from conftest import product_brace
 
 PAIRS = [
     (bn, ln)
@@ -162,3 +168,38 @@ def test_criterion_10_polynomials_are_proper_enhancements():
         assert (str(sb), str(ideal)) == polynomials
         assert brute_force_colorings(brace, d) == enumerate_colorings(brace, d)
     _ok(10, "the classical and the virtual Hopf link share 40 colorings but no polynomial")
+
+
+def test_criterion_10_also_holds_for_knots():
+    """Two 4-crossing virtual knots with 72 colorings each over inv8 x nab6
+    (`tests/knot_witness48.txt`) but different polynomials. The oracle
+    shares no plan with the product: a coloring over a direct product is
+    a pair of colorings over its factors, and each pair's color set is
+    closed by the `substructures` closures."""
+    inv8, nab6 = load_bundled_brace("inv8"), load_bundled_brace("nab6")
+    brace = load_brace_file(str(Path(__file__).with_name("knot_witness48.txt")))
+    assert brace == product_brace(inv8, nab6)
+    bq = derived_biquandle(brace)
+    expected = {
+        "U1- O3- O2+ U3- O4- O1- U4- U2+": (
+            "24u^24v^24 + 12u^8v^8 + 22u^6v^6 + 2u^3v^3 + 11u^2v^2 + uv",
+            "49u^24 + 6u^12 + 8u^8 + 3u^6 + 3u^4 + 2u^3 + u",
+        ),
+        "O2- U4- U1+ O3- O4- U3- U2- O1+": (
+            "58u^6v^6 + 2u^3v^3 + 11u^2v^2 + uv",
+            "49u^24 + 6u^12 + 2u^8 + 9u^6 + 3u^4 + 2u^3 + u",
+        ),
+    }
+    for code, polynomials in expected.items():
+        d = parse_gauss_code(code)
+        assert counting_invariant(brace, d) == 72
+        sb, ideal = both_polynomials(brace, d)
+        assert (str(sb), str(ideal)) == polynomials
+        terms2, terms1 = Counter(), Counter()
+        for c1 in enumerate_colorings(inv8, d):
+            for c2 in enumerate_colorings(nab6, d):
+                x = biquandle_closure(bq, {(a - 1) * nab6.n + b for a, b in zip(c1, c2)})
+                terms2[len(group_closure(brace.circ, x)), len(group_closure(brace.star, x))] += 1
+                terms1[len(ideal_closure(brace, x))] += 1
+        assert (Polynomial2(terms2), Polynomial1(terms1)) == (sb, ideal)
+    _ok(10, "two virtual knots share 72 colorings over inv8 x nab6 but no polynomial")

@@ -176,6 +176,38 @@ def test_color_into_a_closed_pipe_exits_2_in_silence():
     assert (proc.wait(), err) == (2, b"")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", NAB6),
+        ("invariant", NAB6, "O1+ / U1+"),
+        ("check-moves", NAB6, "O1+ / U1+", "--trials", "2"),
+        ("batch", NAB6, LINKS),
+        ("color", NAB6, "O1+ / U1+"),
+    ],
+    ids=["validate", "invariant", "check-moves", "batch", "color"],
+)
+def test_output_into_a_closed_pipe_exits_2_in_silence(argv):
+    """The pipe's read end is closed before the command starts, and stdout
+    is block-buffered (no PYTHONUNBUFFERED), so a short output first meets
+    the closed pipe when it is flushed. `main` flushes it itself: exit 2
+    and nothing on stderr, not the interpreter's failed flush at exit."""
+    read, write = os.pipe()
+    os.close(read)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (2, b"")
+
+
 def test_color_holds_no_object_per_coloring():
     """`color` holds its colorings as one column per semiarc: after a
     warm-up call, 262,144 colorings of six free semiarcs on dih8 peak
@@ -400,6 +432,49 @@ def test_only_the_benchmark_pinned_count_takes_jobs():
             with_jobs.append(name)
     assert with_jobs == ["counting_invariant"]
     assert [c for c, (_, _, options) in cli._COMMANDS.items() if "--jobs" in options] == []
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("validate", "{MISSING}"), "brace file not found: {MISSING}"),
+        (("batch", NAB6, "{MISSING}"), "link file not found: {MISSING}"),
+        (("color", NAB6, "{EMPTY}"), "no links defined in {EMPTY}"),
+        (("invariant", NAB6, LINKS), "{LINKS} defines 5 links; pick one with --name"),
+        (("check-moves", NAB6, LINKS, "--name", "x"), "no link named 'x' in {LINKS}"),
+        (
+            ("invariant", NAB6, "O1+ U1+", "--name", "x"),
+            "--name only applies when the link argument is a file",
+        ),
+        (
+            ("color", NAB6, "{MISSING}"),
+            "link argument is neither an existing file nor a Gauss code: {MISSING}",
+        ),
+        (("validate", "{BADBRACE}"), "{BADBRACE} is not UTF-8 text: invalid start byte at byte 5"),
+        (
+            ("batch", NAB6, "{BADLINKS}"),
+            "{BADLINKS} is not UTF-8 text: invalid start byte at byte 13",
+        ),
+    ],
+    ids=[
+        "brace-not-found", "link-file-not-found", "no-links", "pick-one", "no-such-name",
+        "name-needs-a-file", "neither-file-nor-code", "brace-not-utf8", "links-not-utf8",
+    ],
+)
+def test_each_input_error_is_one_exact_line(capsys, tmp_path, argv, err):
+    """Each error in reading a command's input files or link argument:
+    exit 2, no output, and one exact `error:` line. A byte offset counts
+    from the start of the file, a leading BOM included."""
+    files = {
+        "EMPTY": b"# no links here\n",
+        "BADBRACE": b"\xef\xbb\xbf2\n\xff\n",
+        "BADLINKS": b"x := O1+ U1+\n\xff\n",
+    }
+    paths = {key: str(tmp_path / f"{key.lower()}.txt") for key in (*files, "MISSING")}
+    for key, data in files.items():
+        Path(paths[key]).write_bytes(data)
+    argv = [a.format(**paths) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {err.format(LINKS=LINKS, **paths)}\n")
 
 
 def test_link_file_requires_name_when_ambiguous(capsys):

@@ -39,7 +39,7 @@ from skewbrace.coloring import _count
 from skewbrace.invariants import _sub_braces
 from skewbrace.plan import _compile, _compiled_for, _completion
 
-from conftest import random_code, trivial_cyclic_brace
+from conftest import product_brace, random_code, trivial_cyclic_brace
 
 # (count, sb string, ideal string) per (brace, link)
 FIXTURES = {
@@ -345,6 +345,38 @@ def test_a_split_union_multiplies_every_sub_brace_count(name, rng, crossings, co
             both_polynomials(brace, union)
     else:
         assert both_polynomials(brace, union) == (Polynomial2(terms2), Polynomial1(terms1))
+
+
+_PRODUCTS: dict = {}
+
+
+@given(
+    data=st.data(),
+    rng=st.randoms(use_true_random=False),
+    crossings=st.integers(0, 6),
+    components=st.integers(1, 2),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_product_brace_counts_pairs(census, data, rng, crossings, components):
+    """A metamorphic relation on carriers of 16 to 64 elements: a coloring
+    over B1 x B2 is a pair of colorings over B1 and B2, so the count
+    multiplies, and on the product's one plan the sub-skew-brace B1 x {e}
+    counts what B1 counts."""
+    i, j = (data.draw(st.integers(0, len(census) - 1)) for _ in range(2))
+    b1, b2 = census[i], census[j]
+    if (i, j) not in _PRODUCTS:
+        _PRODUCTS[i, j] = product_brace(b1, b2)
+    brace = _PRODUCTS[i, j]
+    d = parse_gauss_code(random_code(rng, crossings, components))
+    first, second = enumerate_colorings(b1, d), enumerate_colorings(b2, d)
+    pairs = {tuple((a - 1) * b2.n + b for a, b in zip(c1, c2)) for c1 in first for c2 in second}
+    got = enumerate_colorings(brace, d)
+    assert len(got) == len(pairs) and set(got) == pairs
+    assert counting_invariant(brace, d) == counting_invariant(b1, d) * counting_invariant(b2, d)
+    e = b2.identity
+    colors = tuple((a - 1) * b2.n + e for a in range(1, b1.n + 1))
+    assert sum(1 << x - 1 for x in colors) in {g for g, _, _ in _sub_braces(brace)}
+    assert _count(_compiled_for(brace, d), colors) == len(first)
 
 
 def test_specialization_recovers_count(braces, links):

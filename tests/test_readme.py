@@ -43,15 +43,19 @@ def test_the_library_block_shows_what_it_returns(capsys):
 
 
 def test_the_cli_examples_print_what_they_show(capsys, monkeypatch):
-    """Each `$ skewbrace` line, run from the repository root, exits 0 and
-    prints the lines under it; a last line `...` stands for more lines."""
+    """Each `$ skewbrace` line in "CLI" and "Invariants", run from the
+    repository root, exits 0 and prints the lines under it; a last line
+    `...` stands for more lines."""
     monkeypatch.chdir(ROOT)
     examples = [
-        block for block in fenced("## CLI", "sh") if block.startswith("$ skewbrace")
+        block
+        for section in ("## CLI", "## Invariants")
+        for block in fenced(section, "sh")
+        if block.startswith("$ skewbrace")
     ]
-    (block,) = examples
+    assert len(examples) == 2
     runs = 0
-    for example in block.split("\n\n"):
+    for example in "\n\n".join(examples).split("\n\n"):
         command, *shown = example.replace("\\\n", " ").strip().splitlines()
         code = main(shlex.split(command)[2:])
         out = capsys.readouterr().out.splitlines()
@@ -60,4 +64,4 @@ def test_the_cli_examples_print_what_they_show(capsys, monkeypatch):
             out = out[: len(shown)]
         assert (code, out) == (0, shown)
         runs += 1
-    assert runs == 2
+    assert runs == 4
