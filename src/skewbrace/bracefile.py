@@ -29,9 +29,10 @@ __all__ = ["parse_brace_file", "format_brace_file", "load_brace_file", "load_lin
 def _digits_past_limit(text: str) -> int:
     """The digit count of `text`'s longest token, if it passes the
     interpreter's limit on digits in an int (so `int()` refused it for its
-    length), else 0."""
+    length), else 0. Python 3.10 before 3.10.7 has no limit."""
     digits = max(sum(c.isdecimal() for c in tok) for tok in text.split())
-    return digits if 0 < sys.get_int_max_str_digits() < digits else 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return digits if 0 < limit < digits else 0
 
 
 def parse_brace_file(text: str) -> SkewBrace:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (a failed move check, or a
 `DomainError`: invalid brace, bad Gauss code, a coloring search past its
 frontier budget) with the witness printed, 2 usage or IO error (an
 `InputError` or `OSError`), or output into a pipe its reader closed.
-`main` flushes stdout itself, so no error escapes at the exit flush.
+`main` flushes stdout itself, so no error escapes at the exit flush; an
+error whose earlier output meets a closed pipe keeps its code and line.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables`, `axioms` and `bracefile` are imported at the top, since
@@ -224,6 +225,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
 
 
+def _silence_stdout() -> None:
+    # the reader is gone (`| head`): the exit flush goes to devnull, silently
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -242,15 +248,20 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader is gone (`| head`): the exit flush goes to devnull, silently
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _silence_stdout()
         return 2
     except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, exc
+    print(f"error: {error}", file=sys.stderr)
+    try:
+        # the output printed before the error, flushed for the same reason:
+        # a reader already gone leaves the error its line and its code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+    return code
 
 
 if __name__ == "__main__":

@@ -3,14 +3,15 @@
 A subset is a Python-int bitmask with bit x - 1 set for element x, so the
 carrier size has no limit.
 
-Each closure is a fixpoint over one table built once per structure from
-its operation tables and cached: `pair[x][y]` holds the bits that members
-x and y force into the subset, and the mask takes in `pair[x][y]` for all
-of its members x, y until it stops changing or holds the whole carrier;
-each round looks only at the pairs that hold a member added by the round
-before. Termination follows from finiteness. A group closure needs less:
-it is every product of the generators, so each round multiplies only its
-new members by them.
+There is one kernel, `_fixpoint`, and every closure runs it on a pair
+table built once per structure and cached: `pair[x][y]` holds the bits
+that members x and y force into the subset, and the mask takes in
+`pair[x][y]` for all of its members x, y until it stops changing or holds
+the whole carrier; each round looks only at the pairs that hold a member
+added by the round before. Termination follows from finiteness. Two
+builders make the tables: `_pairs` for closure under operation tables (a
+group, a biquandle, or circ and star together for a sub-skew-brace), and
+`_ideal_pairs` for the ideal conditions.
 
 `_joins` lists every closed mask of such a closure: the sub-skew-braces
 that `invariants` counts colorings over, and the ideals. The closures over
@@ -23,13 +24,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 from math import inf
-from typing import TYPE_CHECKING
 
 from .axioms import _zero_based
-from .tables import FiniteGroup, OperationTable, SkewBrace
-
-if TYPE_CHECKING:
-    from .biquandle import Biquandle
+from .tables import OperationTable, SkewBrace
 
 __all__: list[str] = []
 
@@ -67,17 +64,14 @@ def _fixpoint(pair: Pairs, m: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _bits(table: OperationTable) -> Pairs:
-    """Table of 1 << (x op y), 0-based."""
-    return [[1 << (v - 1) for v in row] for row in table.rows]
-
-
-@lru_cache(maxsize=64)
-def _biquandle_pairs(under: OperationTable, over: OperationTable) -> Pairs:
-    return [
-        [u | o for u, o in zip(urow, orow)]
-        for urow, orow in zip(_bits(under), _bits(over))
-    ]
+def _pairs(*tables: OperationTable) -> Pairs:
+    """pair[x][y] = the OR of 1 << (x op y) over the tables, 0-based."""
+    pair = [[0] * len(row) for row in tables[0].rows]
+    for table in tables:
+        for out, row in zip(pair, table.rows):
+            for y, v in enumerate(row):
+                out[y] |= 1 << (v - 1)
+    return pair
 
 
 @lru_cache(maxsize=64)
@@ -96,32 +90,6 @@ def _ideal_pairs(brace: SkewBrace) -> Pairs:
     return pair
 
 
-def _group_mask(group: FiniteGroup, m: int) -> int:
-    # a finite group's closure of m is every product of members of m, so
-    # each round multiplies only the members new in the round before by
-    # the generators
-    row = _bits(group.table)
-    gens = _members(m)
-    new = m
-    while new:
-        out = 0
-        for x in _members(new):
-            bits = row[x]
-            for g in gens:
-                out |= bits[g]
-        new = out & ~m
-        m |= new
-    return m
-
-
-def _biquandle_mask(bq: Biquandle, m: int) -> int:
-    return _fixpoint(_biquandle_pairs(bq.under, bq.over), m)
-
-
-def _ideal_mask(brace: SkewBrace, m: int) -> int:
-    return _fixpoint(_ideal_pairs(brace), m)
-
-
 def _joins(close: Callable[[int], int], n: int, cap: float = inf) -> set[int]:
     """Every close(S), S a subset of the n elements, 0 among them since
     close(0) = 0; or more than `cap` of them. A closed mask joined with one
@@ -132,5 +100,8 @@ def _joins(close: Callable[[int], int], n: int, cap: float = inf) -> set[int]:
         if len(found) > cap:
             break
         bit = 1 << x
-        found |= {m if m & bit else close(m | bit) for m in found}
+        # a closed mask inside close(x), joined with x, closes to close(x)
+        # itself, so it needs no fixpoint of its own
+        least = close(bit)
+        found |= {m if m & bit else least if m & ~least == 0 else close(m | bit) for m in found}
     return found

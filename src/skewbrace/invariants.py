@@ -11,10 +11,10 @@ recovers the coloring count.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar
 
-from .closures import _biquandle_mask, _group_mask, _ideal_mask, _joins, _members
+from .closures import _fixpoint, _ideal_pairs, _joins, _members, _pairs
 from .coloring import SearchTooLarge, _count, _survivors
 from .gauss import LinkDiagram, format_gauss_code
 from .plan import _compiled_for, derived_biquandle
@@ -114,11 +114,12 @@ def _sub_braces(brace: SkewBrace) -> tuple[tuple[int, int, tuple[int, ...] | Non
     I(G) and the colors in G, ascending, or None if x <| y = x |> y = x
     on G. Raises SearchTooLarge past `_MAX_SUB_BRACES` of them.
 
-    A coloring's colors generate G, the circ- and star-group closure of
-    their biquandle closure X (README, "Invariants"), and I(X) = I(G)."""
+    A coloring's colors generate G, their closure under circ and star,
+    which is the circ-group closure of their biquandle closure X (README,
+    "Invariants"), and I(X) = I(G)."""
     bq = derived_biquandle(brace)
     found = _joins(
-        lambda m: _group_mask(brace.circ, _biquandle_mask(bq, m)), brace.n, _MAX_SUB_BRACES
+        partial(_fixpoint, _pairs(brace.circ.table, brace.star.table)), brace.n, _MAX_SUB_BRACES
     )
     if len(found) > _MAX_SUB_BRACES:
         raise SearchTooLarge(
@@ -131,7 +132,7 @@ def _sub_braces(brace: SkewBrace) -> tuple[tuple[int, int, tuple[int, ...] | Non
         xs = _members(g)
         trivial = all(t.rows[x][y] == x + 1 for t in (bq.under, bq.over) for x in xs for y in xs)
         colors = None if trivial else tuple([x + 1 for x in xs])
-        lattice.append((g, _ideal_mask(brace, g).bit_count(), colors))
+        lattice.append((g, _fixpoint(_ideal_pairs(brace), g).bit_count(), colors))
     return tuple(lattice)
 
 

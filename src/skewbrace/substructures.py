@@ -3,9 +3,9 @@
 Subsets come in as any iterable of 1-based elements and go out as
 frozensets; the ambient structure is passed alongside rather than stored.
 Each closure converts its subset to a bitmask and runs the kernel in
-`closures`. The ideals are enumerated over the same masks, as the ideal
-closures `closures._joins` lists; `is_ideal` checks the conditions
-directly and is the independent oracle.
+`closures` on the structure's pair table. The ideals are enumerated over
+the same masks, as the ideal closures `closures._joins` lists; `is_ideal`
+checks the conditions directly and is the independent oracle.
 
 Only `skewbrace ideals` imports this module, so no link command compiles
 it.
@@ -16,15 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .closures import (
-    _biquandle_mask,
-    _fixpoint,
-    _group_mask,
-    _ideal_mask,
-    _ideal_pairs,
-    _joins,
-    _members,
-)
+from .closures import Pairs, _fixpoint, _ideal_pairs, _joins, _members, _pairs
 from .tables import FiniteGroup, SkewBrace, _index
 
 if TYPE_CHECKING:
@@ -64,17 +56,21 @@ def _from_mask(m: int) -> Subset:
     return frozenset(x + 1 for x in _members(m))
 
 
+def _close(pair: Pairs, s) -> Subset:
+    return _from_mask(_fixpoint(pair, _to_mask(s, len(pair))))
+
+
 def group_closure(group: FiniteGroup, s) -> Subset:
     """Smallest subset containing s closed under the group operation.
 
     Inverses and the identity come for free in a finite group.
     """
-    return _from_mask(_group_mask(group, _to_mask(s, group.n)))
+    return _close(_pairs(group.table), s)
 
 
 def biquandle_closure(bq: Biquandle, s) -> Subset:
     """Smallest superset of s closed under the under and over operations."""
-    return _from_mask(_biquandle_mask(bq, _to_mask(s, bq.n)))
+    return _close(_pairs(bq.under, bq.over), s)
 
 
 def ideal_closure(brace: SkewBrace, s) -> Subset:
@@ -82,7 +78,7 @@ def ideal_closure(brace: SkewBrace, s) -> Subset:
 
     Always contains the identity, since y^circ circ y = e.
     """
-    return _from_mask(_ideal_mask(brace, _to_mask(s, brace.n)))
+    return _close(_ideal_pairs(brace), s)
 
 
 def is_ideal(brace: SkewBrace, s) -> bool:

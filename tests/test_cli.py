@@ -192,6 +192,26 @@ def test_output_into_a_closed_pipe_exits_2_in_silence(argv):
     is block-buffered (no PYTHONUNBUFFERED), so a short output first meets
     the closed pipe when it is flushed. `main` flushes it itself: exit 2
     and nothing on stderr, not the interpreter's failed flush at exit."""
+    assert _into_closed_pipe(*argv) == (2, b"")
+
+
+def test_an_error_after_output_into_a_closed_pipe_keeps_its_code(tmp_path):
+    """`batch` prints the first link's line, which waits in stdout's
+    buffer, then stops at the second link's budget error. The error keeps
+    exit 1 and its one stderr line; the buffered line meets the closed
+    pipe in `main`'s flush, not in the interpreter's at exit."""
+    path = tmp_path / "links.txt"
+    path.write_text("a := O1+ U1+\nb := " + " / ".join(["-"] * 21) + "\n")
+    code, err = _into_closed_pipe("batch", INV8, str(path))
+    assert (code, err.decode()) == (
+        1,
+        "error: more than 199728 colorings of 21 semiarcs pass the budget of 4194304 cells\n",
+    )
+
+
+def _into_closed_pipe(*argv) -> tuple[int, bytes]:
+    """Exit code and stderr of the CLI with stdout block-buffered into a
+    pipe whose read end is closed before it starts."""
     read, write = os.pipe()
     os.close(read)
     env = child_env()
@@ -205,7 +225,7 @@ def test_output_into_a_closed_pipe_exits_2_in_silence(argv):
         )
     finally:
         os.close(write)
-    assert (out.returncode, out.stderr) == (2, b"")
+    return out.returncode, out.stderr
 
 
 def test_color_holds_no_object_per_coloring():

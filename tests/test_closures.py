@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from skewbrace import (
     ideal_closure,
     is_ideal,
 )
-from skewbrace.closures import _bits, _fixpoint
+from skewbrace.closures import _fixpoint, _joins
 from skewbrace.plan import derived_biquandle
 
 from conftest import trivial_cyclic_brace
@@ -197,16 +198,18 @@ def test_fixpoint_matches_repeated_all_pairs_rounds(n):
             assert _fixpoint(pair, m) == reference(pair, m)
 
 
-def test_group_closure_matches_fixpoint(braces):
-    """Products with the generators alone close a subset of a finite group
-    to the same subgroup as the all-pairs fixpoint of its table."""
-    for brace in braces.values():
-        for group in (brace.circ, brace.star):
-            pair = _bits(group.table)
-            for m in range(1, 1 << brace.n):
-                want = _fixpoint(pair, m)
-                got = group_closure(group, {x + 1 for x in range(brace.n) if m >> x & 1})
-                assert got == {x + 1 for x in range(brace.n) if want >> x & 1}
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_joins_lists_the_closure_of_every_subset(n):
+    """On arbitrary pair tables `_joins` lists exactly the fixpoints of
+    all 2^n subsets, the empty one included."""
+    rng = random.Random(n)
+    for _ in range(40):
+        pair = [
+            [1 << rng.randrange(n) if rng.random() < 0.2 else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        close = partial(_fixpoint, pair)
+        assert _joins(close, n) == set(map(close, range(1 << n)))
 
 
 # the nonempty biquandle-closed subsets of the 55 census braces

@@ -175,11 +175,22 @@ def test_parse_link_file():
     assert links["unknot"].crossing_count == 0
 
 
+# every error of a link file, one line each
+LINK_FILE_ERRORS = {
+    "no separator here\n": "line 1: expected `name := code`",
+    " := O1+ U1+\n": "line 1: empty link name",
+    "a := O1+ U1+\n# c\n\na := O1- U1-\n": "line 4: duplicate link name 'a'",
+    "a := O1+ U1+\nb := O1+\n": (
+        "line 2 (b): crossing 1 must appear exactly once over and once under"
+    ),
+}
+
+
 def test_parse_link_file_errors():
-    with pytest.raises(GaussCodeError):
-        parse_link_file("no separator here\n")
-    with pytest.raises(GaussCodeError):
-        parse_link_file(" := O1+ U1+\n")
+    for text, message in LINK_FILE_ERRORS.items():
+        with pytest.raises(GaussCodeError) as exc:
+            parse_link_file(text)
+        assert str(exc.value) == message
 
 
 def test_bundled_link_file(links):

@@ -35,6 +35,7 @@ from skewbrace import (
     validate_skew_brace,
 )
 from skewbrace import coloring, plan
+from skewbrace.closures import _joins
 from skewbrace.coloring import _count
 from skewbrace.invariants import _sub_braces
 from skewbrace.plan import _compile, _compiled_for, _completion
@@ -157,6 +158,25 @@ def test_sub_braces_are_the_closures_of_all_subsets(census):
 
 
 BRACES = {name: load_bundled_brace(name) for name in bundled_brace_names()}
+
+
+@pytest.mark.parametrize("names", [("nab6", "cyc6"), ("klein_z4", "inv8"), ("inv8", "nab6")])
+def test_sub_braces_of_products_are_the_two_step_closures(names):
+    """Past n = 8: on products of 32 to 48 elements the lattice, closed
+    under circ and star, lists the same masks as the theorem's two-step
+    closure, the circ-group closure of the biquandle closure."""
+    brace = product_brace(*(BRACES[name] for name in names))
+    bq = derived_biquandle(brace)
+
+    def close(m):
+        image = group_closure(brace.circ, biquandle_closure(bq, _colors(m)))
+        return sum(1 << (x - 1) for x in image)
+
+    want = _joins(close, brace.n)
+    want.discard(0)
+    assert [g for g, _, _ in _sub_braces(brace)] == sorted(
+        want, key=lambda g: (g.bit_count(), g)
+    )
 
 
 def _colors(g) -> tuple[int, ...]:

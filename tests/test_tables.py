@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,12 @@ def test_format_parse_round_trip(braces):
         assert format_brace_file(again) == text
 
 
+def test_an_unknown_bundled_brace_is_a_key_error():
+    with pytest.raises(KeyError) as exc:
+        bundled_brace_path("q8")
+    assert exc.value.args == (f"no bundled brace named 'q8'; have {tuple(EXPECTED_N)}",)
+
+
 def test_bundled_files_parse_with_comments():
     for name in EXPECTED_N:
         with open(bundled_brace_path(name), encoding="utf-8") as fh:
@@ -190,6 +198,18 @@ MALFORMED = {
     "text", [t if len(t) < 100 else pytest.param(t, id=MALFORMED[t]) for t in MALFORMED]
 )
 def test_malformed_brace_files(text):
+    with pytest.raises(TableMalformed) as exc:
+        parse_brace_file(text)
+    assert str(exc.value) == MALFORMED[text]
+
+
+@pytest.mark.parametrize(
+    "text", ["x\n1\n", "2\n1 a\n2 1\n\n1 2\n2 1\n"], ids=["carrier", "row"]
+)
+def test_malformed_brace_files_without_a_digit_limit(monkeypatch, text):
+    """Python 3.10 before 3.10.7 has no `sys.get_int_max_str_digits`: a
+    bad carrier line or row is still the same TableMalformed."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     with pytest.raises(TableMalformed) as exc:
         parse_brace_file(text)
     assert str(exc.value) == MALFORMED[text]
