@@ -4,8 +4,16 @@ Exit codes: 0 success, 1 domain error (a failed move check, or a
 `DomainError`: invalid brace, bad Gauss code, a coloring search past its
 frontier budget) with the witness printed, 2 usage or IO error (an
 `InputError` or `OSError`), or output into a pipe its reader closed.
-`main` flushes stdout itself, so no error escapes at the exit flush; an
-error whose earlier output meets a closed pipe keeps its code and line.
+
+`main` runs one command line in process and returns its code. Run as
+`python -m skewbrace.cli` or as the installed `skewbrace` script, the
+process goes through `console_main`: it flushes stdout, then stderr, and
+ends with `os._exit`, which skips the interpreter's teardown (module
+teardown, GC passes, freeing every object) and also every `atexit`
+handler, coverage's among them. A failed flush keeps an error
+already reported, its code and its one line; otherwise a closed pipe
+exits 2 in silence, and another write error, a full disk, with one line.
+Callers that need the process to go on call `main` instead.
 
 Each command imports the modules it runs inside its `_cmd_*` function;
 only `tables`, `axioms` and `bracefile` are imported at the top, since
@@ -29,12 +37,13 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .axioms import is_involutive, is_star_commutative
 from .bracefile import _format_tables, load_brace_file, load_link
 from .tables import DomainError, InputError, SkewBrace, read_text
 
-__all__ = ["main"]
+__all__ = ["console_main", "main"]
 
 
 def _trial_count(text: str) -> int:
@@ -225,12 +234,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
 
 
-def _silence_stdout() -> None:
-    # the reader is gone (`| head`): the exit flush goes to devnull, silently
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line in this process and return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parse(argv)
@@ -243,26 +248,40 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         code = args.func(args)
-        # flushed here, not at exit, so a reader already gone is the
-        # BrokenPipeError below and not an error the interpreter prints
+        # flushed here, not only by `console_main`, so a closed pipe exits 2
+        # also after check-moves' mismatch, and a full disk gets its line
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        _silence_stdout()
         return 2
     except (InputError, OSError) as exc:
         code, error = 2, exc
     except DomainError as exc:
         code, error = 1, exc
     print(f"error: {error}", file=sys.stderr)
-    try:
-        # the output printed before the error, flushed for the same reason:
-        # a reader already gone leaves the error its line and its code
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _silence_stdout()
     return code
 
 
+def console_main() -> NoReturn:
+    """Run `main` on the process's arguments, flush stdout and stderr, and
+    end the process with `os._exit`, skipping the interpreter's teardown.
+    A flush that fails keeps an error already reported; otherwise a closed
+    pipe exits 2 in silence, and any other write error with one line."""
+    code, line = main(), ""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = code or 2
+    except OSError as exc:
+        if not code:
+            code, line = 2, f"error: {exc}\n"
+    try:
+        sys.stderr.write(line)
+        sys.stderr.flush()
+    except OSError:
+        code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import inspect
 import json
 import os
@@ -184,15 +185,39 @@ def test_color_into_a_closed_pipe_exits_2_in_silence():
         ("check-moves", NAB6, "O1+ / U1+", "--trials", "2"),
         ("batch", NAB6, LINKS),
         ("color", NAB6, "O1+ / U1+"),
+        ("invariant", "-h"),
+        ("--help",),
     ],
-    ids=["validate", "invariant", "check-moves", "batch", "color"],
+    ids=["validate", "invariant", "check-moves", "batch", "color", "invariant-help", "help"],
 )
 def test_output_into_a_closed_pipe_exits_2_in_silence(argv):
     """The pipe's read end is closed before the command starts, and stdout
     is block-buffered (no PYTHONUNBUFFERED), so a short output first meets
-    the closed pipe when it is flushed. `main` flushes it itself: exit 2
-    and nothing on stderr, not the interpreter's failed flush at exit."""
+    the closed pipe when it is flushed: exit 2 and nothing on stderr, also
+    for the help that argparse prints before `main` returns 0."""
     assert _into_closed_pipe(*argv) == (2, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv", [("validate", NAB6), ("invariant", "-h")], ids=["validate", "invariant-help"]
+)
+def test_output_onto_a_full_disk_is_one_error_line(argv):
+    """Every write to /dev/full fails with ENOSPC. The block-buffered
+    output first meets it when it is flushed: one error line and exit 2,
+    whether `main` flushed it or the exit after `main` returned 0."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    error = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (out.returncode, out.stderr) == (2, error)
 
 
 def test_an_error_after_output_into_a_closed_pipe_keeps_its_code(tmp_path):
@@ -226,6 +251,57 @@ def _into_closed_pipe(*argv) -> tuple[int, bytes]:
     finally:
         os.close(write)
     return out.returncode, out.stderr
+
+
+def test_the_process_ends_without_atexit_handlers():
+    """Run as `__main__`, the CLI ends its process with `os._exit` once
+    both streams are flushed, so no handler registered with `atexit` runs."""
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+        "sys.argv[1:] = ['validate', sys.argv[1]]\n"
+        "runpy.run_module('skewbrace.cli', run_name='__main__')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, NAB6], capture_output=True, text=True, env=child_env()
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0,
+        "valid skew brace, n=6, *-commutative: no, involutive: no\n",
+        "",
+    )
+
+
+def test_the_process_exit_loses_no_buffered_output(capsys, tmp_path):
+    """46,656 colorings, block-buffered into a regular file, are the bytes
+    `main` writes in process: the exit flushes all of them first."""
+    argv = ["color", NAB6, "- / - / - / - / - / -"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    assert want.count(b"\n") == 1 + 6**6
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    path = tmp_path / "colorings.txt"
+    with open(path, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", *argv],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert path.read_bytes() == want
+
+
+def test_main_returns_its_code_in_process(capsys):
+    """`main` returns every exit code to its caller, the help's 0 and
+    argparse's usage error included, and leaves the process running."""
+    assert main(["validate", NAB6]) == 0
+    assert main(["invariant", "-h"]) == 0
+    assert main(["invariant", NAB6, "O9+"]) == 1
+    assert main(["validate", NAB6, "extra"]) == 2
+    assert main(["validate", "no-such-brace.txt"]) == 2
+    capsys.readouterr()
 
 
 def test_color_holds_no_object_per_coloring():
@@ -775,7 +851,7 @@ def test_entry_point_declared():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
-    assert project["scripts"] == {"skewbrace": "skewbrace.cli:main"}
+    assert project["scripts"] == {"skewbrace": "skewbrace.cli:console_main"}
     assert project["dependencies"] == []
 
     out = run_process("validate", NAB6)
