@@ -5,23 +5,24 @@ Exit codes: 0 success, 1 domain error (a failed move check, or a
 frontier budget) with the witness printed, 2 usage or IO error (an
 `InputError` or `OSError`), or output into a pipe its reader closed.
 
-`main` runs one command line in process and returns its code. Run as
-`python -m skewbrace.cli` or as the installed `skewbrace` script, the
-process goes through `console_main`: it flushes stdout, then stderr, and
-ends with `os._exit`, which skips the interpreter's teardown (module
-teardown, GC passes, freeing every object) and also every `atexit`
-handler, coverage's among them. A failed flush keeps an error
-already reported, its code and its one line; otherwise a closed pipe
-exits 2 in silence, and another write error, a full disk, with one line.
-Callers that need the process to go on call `main` instead.
+`main` runs one command line in process, returns its code and owns every
+outcome rule: the parse, the reads of the brace and the link, the
+command and the flush of stdout run in its one `try`, so a closed pipe
+exits 2 in silence and an error prints one `error:` line, or keeps its
+code when that line cannot be written. The installed `skewbrace` script
+and `python -m skewbrace.cli` run `console_main`, which only flushes
+stdout and stderr and calls `os._exit`: that skips the interpreter's
+teardown (module teardown, GC passes, freeing every object) and every
+`atexit` handler, coverage's among them.
 
-Each command imports the modules it runs inside its `_cmd_*` function;
-only `tables`, `axioms` and `bracefile` are imported at the top, since
-every command reads and validates a brace. Input files are read by
-`tables.read_text`, and a link argument by `bracefile.load_link`, which
-imports `gauss` only when called. No command imports numpy, and
-no module imports this one: run as `python -m skewbrace.cli`, it is
-`__main__`, so importing `skewbrace.cli` would compile it a second time.
+Each `_cmd_*` function takes the parsed arguments and the brace and link
+(for `batch`, the links of its file) that `main` read, and imports the
+modules it runs; only `tables`, `axioms` and `bracefile` are imported at
+the top. Input files are read by `tables.read_text`, and a link argument
+by `bracefile.load_link`, which imports `gauss` only when called. No
+command imports numpy, and no module imports this one: run as
+`python -m skewbrace.cli`, it is `__main__`, so importing
+`skewbrace.cli` would compile it a second time.
 
 One table, `_COMMANDS`, describes every command, its positionals and its
 options. `_parse` reads from it the plain command lines every documented
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .axioms import is_involutive, is_star_commutative
-from .bracefile import _format_tables, load_brace_file, load_link
+from .bracefile import _format_tables, load_link, parse_brace_file
 from .tables import DomainError, InputError, SkewBrace, read_text
 
 __all__ = ["console_main", "main"]
@@ -58,57 +59,44 @@ def _trial_count(text: str) -> int:
     return value
 
 
-def _load_brace(path: str) -> SkewBrace:
-    if not os.path.exists(path):
-        raise InputError(f"brace file not found: {path}")
-    return load_brace_file(path)
-
-
-def _cmd_validate(args) -> int:
-    brace = _load_brace(args.brace)
+def _cmd_validate(args, brace: SkewBrace, link) -> int:
     commut = "yes" if is_star_commutative(brace) else "no"
     invol = "yes" if is_involutive(brace) else "no"
     print(f"valid skew brace, n={brace.n}, *-commutative: {commut}, involutive: {invol}")
     return 0
 
 
-def _cmd_biquandle(args) -> int:
+def _cmd_biquandle(args, brace: SkewBrace, link) -> int:
     from .biquandle import derive_biquandle
 
-    brace = _load_brace(args.brace)
     bq = derive_biquandle(brace)
     sys.stdout.write(_format_tables(bq.under, bq.over))
     return 0
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args, brace: SkewBrace, link) -> int:
     from .substructures import enumerate_ideals
 
-    brace = _load_brace(args.brace)
     for ideal in enumerate_ideals(brace):
         print(",".join(str(x) for x in sorted(ideal)))
     return 0
 
 
-def _cmd_color(args) -> int:
+def _cmd_color(args, brace: SkewBrace, link) -> int:
     from .enumeration import sorted_columns, write_colorings
 
-    brace = _load_brace(args.brace)
-    diagram = load_link(args.link, args.name)
-    write_colorings(sorted_columns(brace, diagram), brace.n, sys.stdout.write)
+    write_colorings(sorted_columns(brace, link), brace.n, sys.stdout.write)
     return 0
 
 
-def _cmd_invariant(args) -> int:
+def _cmd_invariant(args, brace: SkewBrace, link) -> int:
     if args.type == "count":
         from .coloring import counting_invariant as invariant
     elif args.type == "sb":
         from .invariants import sb_polynomial as invariant
     else:
         from .invariants import ideal_polynomial as invariant
-    brace = _load_brace(args.brace)
-    diagram = load_link(args.link, args.name)
-    value = invariant(brace, diagram)
+    value = invariant(brace, link)
     if args.json:
         import json
 
@@ -119,14 +107,10 @@ def _cmd_invariant(args) -> int:
     return 0
 
 
-def _cmd_check_moves(args) -> int:
+def _cmd_check_moves(args, brace: SkewBrace, link) -> int:
     from .invariants import move_invariance_trials
 
-    brace = _load_brace(args.brace)
-    diagram = load_link(args.link, args.name)
-    result = move_invariance_trials(
-        brace, diagram, trials=args.trials, seed=args.seed
-    )
+    result = move_invariance_trials(brace, link, trials=args.trials, seed=args.seed)
     print(f"base sb: {result.base_sb}")
     print(f"base ideal: {result.base_ideal}")
     if result.all_invariant:
@@ -139,14 +123,9 @@ def _cmd_check_moves(args) -> int:
     return 1
 
 
-def _cmd_batch(args) -> int:
-    from .gauss import parse_link_file
+def _cmd_batch(args, brace: SkewBrace, links) -> int:
     from .invariants import both_polynomials
 
-    brace = _load_brace(args.brace)
-    if not os.path.exists(args.linkfile):
-        raise InputError(f"link file not found: {args.linkfile}")
-    links = parse_link_file(read_text(args.linkfile))
     for name, diagram in links.items():
         sb, ideal = both_polynomials(brace, diagram)
         print(f"{name}: count={sb.specialize()} sb={sb} ideal={ideal}")
@@ -234,22 +213,38 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one command line in this process and return its exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _parse(argv)
-    if args is None:
-        from .usage import build_parser
+def _text(path: str, what: str) -> str:
+    if not os.path.exists(path):
+        raise InputError(f"{what} file not found: {path}")
+    return read_text(path)
 
-        try:
-            args = build_parser(_COMMANDS, _function).parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line in this process and return its exit code:
+    argparse's for help or a usage error, else the command's, unless
+    reading, running or flushing raised an error `main` reports."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        code = args.func(args)
-        # flushed here, not only by `console_main`, so a closed pipe exits 2
-        # also after check-moves' mismatch, and a full disk gets its line
+        args = _parse(argv)
+        try:
+            if args is None:
+                from .usage import build_parser
+
+                args = build_parser(_COMMANDS, _function).parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        else:
+            brace = parse_brace_file(_text(args.brace, "brace"))
+            link = None
+            if args.command == "batch":
+                from .gauss import parse_link_file
+
+                link = parse_link_file(_text(args.linkfile, "link"))
+            elif "link" in vars(args):
+                link = load_link(args.link, args.name)
+            code = args.func(args, brace, link)
+        # flushed here, so a closed pipe exits 2 also after help or
+        # check-moves' mismatch, and a full disk gets its line
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -258,28 +253,23 @@ def main(argv: list[str] | None = None) -> int:
         code, error = 2, exc
     except DomainError as exc:
         code, error = 1, exc
-    print(f"error: {error}", file=sys.stderr)
+    try:
+        sys.stderr.write(f"error: {error}\n")
+    except OSError:  # a line that cannot be written leaves the code as it is
+        pass
     return code
 
 
 def console_main() -> NoReturn:
-    """Run `main` on the process's arguments, flush stdout and stderr, and
-    end the process with `os._exit`, skipping the interpreter's teardown.
-    A flush that fails keeps an error already reported; otherwise a closed
-    pipe exits 2 in silence, and any other write error with one line."""
-    code, line = main(), ""
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = code or 2
-    except OSError as exc:
-        if not code:
-            code, line = 2, f"error: {exc}\n"
-    try:
-        sys.stderr.write(line)
-        sys.stderr.flush()
-    except OSError:
-        code = code or 2
+    """Run `main`, flush stdout and stderr and end the process with
+    `os._exit(code)`: a flush that fails here, after an error `main`
+    reported, changes nothing."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
     os._exit(code)
 
 

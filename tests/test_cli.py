@@ -220,6 +220,49 @@ def test_output_onto_a_full_disk_is_one_error_line(argv):
     assert (out.returncode, out.stderr) == (2, error)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, full_stdout, code",
+    [
+        (("validate", "no-such-brace.txt"), False, 2),
+        (("validate", NAB6), True, 2),
+        (("invariant", NAB6, "O9+"), False, 1),
+    ],
+    ids=["missing-brace", "full-disk", "domain-error"],
+)
+def test_an_error_line_that_cannot_be_written_keeps_its_code(argv, full_stdout, code):
+    """With stderr on /dev/full the `error:` line cannot be written, and
+    the exit code is the one the error would have had: 2 for a missing
+    file or a full stdout, 1 for a domain error."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "wb") as full:
+        out = subprocess.run(
+            [sys.executable, "-m", "skewbrace.cli", *argv],
+            stdout=full if full_stdout else subprocess.DEVNULL,
+            stderr=full,
+            env=env,
+        )
+    assert out.returncode == code
+
+
+class _Unwritable:
+    def write(self, text):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def flush(self):
+        pass
+
+
+def test_main_keeps_its_code_when_stderr_cannot_be_written(capsys, monkeypatch):
+    """In process, an `error:` line whose write raises leaves `main`'s
+    code as the error's own."""
+    monkeypatch.setattr(sys, "stderr", _Unwritable())
+    assert main(["validate", "no-such-brace.txt"]) == 2
+    assert main(["invariant", NAB6, "O9+"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_an_error_after_output_into_a_closed_pipe_keeps_its_code(tmp_path):
     """`batch` prints the first link's line, which waits in stdout's
     buffer, then stops at the second link's budget error. The error keeps
@@ -488,7 +531,7 @@ def test_a_plain_value_error_is_not_a_domain_error(monkeypatch):
     raised inside a command is a bug and propagates out of main."""
     import skewbrace.cli as cli
 
-    def broken(args):
+    def broken(args, brace, link):
         raise ValueError("not a domain error")
 
     monkeypatch.setattr(cli, "_cmd_validate", broken)

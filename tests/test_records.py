@@ -106,6 +106,7 @@ def test_keyword_and_positional_construction(cls):
     by_position = cls(*(getattr(x, f) for f in FIELDS[cls]))
     assert by_name == x and by_position == x
     assert by_name is not x
+    assert cls._fields == FIELDS[cls]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
@@ -143,6 +144,7 @@ def test_equality_is_type_strict():
     assert (1, True, 1) != Passage(1, True, 1)
     assert Passage(1, True, 1) == Passage(crossing=1, over=True, sign=1)
     assert Passage(1, True, 1) != Passage(1, True, -1)
+    assert Passage(1, True, sign=-1) == Passage(1, True, -1)
 
 
 def test_defaults():
@@ -158,6 +160,12 @@ def test_missing_or_unknown_fields_are_type_errors():
         Passage(1, True, 1, 0)
     with pytest.raises(TypeError):
         Passage(crossing=1, over=True, sign=1, side=0)
+    with pytest.raises(TypeError):
+        Passage(crossing=1, over=True)
+    with pytest.raises(TypeError):
+        Passage(crossing=1, sign=1)
+    with pytest.raises(TypeError):
+        Passage(1, crossing=1, over=True, sign=1)
 
 
 def test_operation_table_copies_and_validates_its_rows():
