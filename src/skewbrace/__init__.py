@@ -36,7 +36,7 @@ _EXPORTS = {
     "load_brace_file": "bracefile",
     "Biquandle": "biquandle",
     "derive_biquandle": "biquandle",
-    "derived_biquandle": "plan",
+    "derived_biquandle": "biquandle",
     "AxiomCheck": "properties",
     "AxiomReport": "properties",
     "verify_biquandle_axioms": "properties",
@@ -64,7 +64,7 @@ _EXPORTS = {
     "gap_locations": "moves",
     "random_move": "moves",
     "random_diagram_walk": "moves",
-    "enumerate_colorings": "coloring",
+    "enumerate_colorings": "enumeration",
     "counting_invariant": "coloring",
     "brute_force_colorings": "oracle",
     "SearchTooLarge": "coloring",

@@ -18,10 +18,12 @@ witness and the 48 lambda-map braces over Q8 and D8.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .axioms import _zero_based
 from .tables import OperationTable, Record, SkewBrace
 
-__all__ = ["Biquandle", "derive_biquandle"]
+__all__ = ["Biquandle", "derive_biquandle", "derived_biquandle"]
 
 
 class Biquandle(Record):
@@ -43,3 +45,9 @@ def derive_biquandle(brace: SkewBrace) -> Biquandle:
     under = [[c[ci[y]][s[x][y]] + 1 for y in xs] for x in xs]
     over = [[c[ci[y]][s[y][x]] + 1 for y in xs] for x in xs]
     return Biquandle(n, OperationTable(n, under), OperationTable(n, over))
+
+
+@lru_cache(maxsize=64)
+def derived_biquandle(brace: SkewBrace) -> Biquandle:
+    """Cached derived biquandle of a validated brace."""
+    return derive_biquandle(brace)

@@ -169,7 +169,7 @@ _COMMANDS = {
 
 
 def _function(command: str):
-    # looked up when a command line is parsed, so a patched one runs
+    # looked up when the command runs, so a patched one runs
     return globals()["_cmd_" + command.replace("-", "_")]
 
 
@@ -210,7 +210,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     if len(values) != len(positionals):
         return None
     args.update(zip([dest for dest, _ in positionals], values))
-    return SimpleNamespace(command=argv[0], func=_function(argv[0]), **args)
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def _text(path: str, what: str) -> str:
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
             if args is None:
                 from .usage import build_parser
 
-                args = build_parser(_COMMANDS, _function).parse_args(argv)
+                args = build_parser(_COMMANDS).parse_args(argv)
         except SystemExit as exc:
             code = int(exc.code or 0)
         else:
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
                 link = parse_link_file(_text(args.linkfile, "link"))
             elif "link" in vars(args):
                 link = load_link(args.link, args.name)
-            code = args.func(args, brace, link)
+            code = _function(args.command)(args, brace, link)
         # flushed here, so a closed pipe exits 2 also after help or
         # check-moves' mismatch, and a full disk gets its line
         sys.stdout.flush()

@@ -25,8 +25,9 @@ of blocks, the first chunk on top, which keeps the order. The count has
 no other bound. Enumeration and the polynomials' count over the whole
 brace run the count's search and raise `SearchTooLarge` once the
 colorings the partial colorings found complete to would pass the same
-bound. `enumeration.sorted_columns` then sorts them and fills in the free
-semiarcs; `invariants` counts every sub-skew-brace on one plan.
+bound. `enumeration`, which defines `enumerate_colorings`, then sorts
+them and fills in the free semiarcs; `invariants` counts every
+sub-skew-brace on one plan.
 
 Everything here is plain Python over `bytearray`, `array` and tuples.
 """
@@ -43,9 +44,7 @@ from .gauss import LinkDiagram
 from .plan import CompiledPlan, _compiled_for
 from .tables import DomainError, SkewBrace
 
-__all__ = ["Coloring", "SearchTooLarge", "enumerate_colorings", "counting_invariant"]
-
-Coloring = tuple[int, ...]
+__all__ = ["SearchTooLarge", "counting_invariant"]
 
 # the most cells (partial colorings times semiarcs) one frontier may hold,
 # and the most an enumeration may return
@@ -153,14 +152,3 @@ def _survivors(cp: CompiledPlan) -> Iterator[Block]:
                 f" pass the budget of {_FRONTIER_CELLS} cells"
             )
         yield m, cols
-
-
-def enumerate_colorings(brace: SkewBrace, d: LinkDiagram) -> list[Coloring]:
-    """All colorings as 1-based semiarc tuples, in lexicographic order.
-
-    Raises SearchTooLarge when the colorings would take more than
-    `_FRONTIER_CELLS` cells.
-    """
-    from .enumeration import sorted_columns
-
-    return list(zip(*sorted_columns(brace, d)))

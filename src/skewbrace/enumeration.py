@@ -17,9 +17,9 @@ every later one too, and the columns from there on are built in one
 piece: each partial coloring's lines run through the later free
 semiarcs' colors in order, with its own colors repeated.
 
-`write_colorings` formats the columns as the lines of `skewbrace color`.
-`coloring.enumerate_colorings` and `skewbrace color` import this module
-when they run, so no other command compiles it.
+`enumerate_colorings` zips the columns into tuples, and `write_colorings`
+formats them as the lines of `skewbrace color`, the one command that
+imports this module.
 """
 
 from __future__ import annotations
@@ -34,10 +34,16 @@ from .gauss import LinkDiagram
 from .plan import _compiled_for
 from .tables import SkewBrace
 
-__all__ = ["sorted_columns", "write_colorings"]
+__all__ = ["enumerate_colorings", "sorted_columns", "write_colorings"]
 
 # colorings formatted per write by `write_colorings`
 _COLOR_CHUNK = 1024
+
+
+def enumerate_colorings(brace: SkewBrace, d: LinkDiagram) -> list[tuple[int, ...]]:
+    """All colorings as 1-based semiarc tuples, in lexicographic order.
+    Raises the budget errors of `sorted_columns`."""
+    return list(zip(*sorted_columns(brace, d)))
 
 
 def sorted_columns(brace: SkewBrace, d: LinkDiagram) -> list[Column]:

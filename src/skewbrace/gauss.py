@@ -153,7 +153,7 @@ def parse_gauss_code(text: str) -> LinkDiagram:
             raise CrossingUsedWrong(cid)
         if ps[0].sign != ps[1].sign:
             raise SignMismatch(cid)
-    return LinkDiagram(components=tuple(tuple(comp) for comp in components))
+    return LinkDiagram(tuple(tuple(comp) for comp in components))
 
 
 def format_gauss_code(d: LinkDiagram) -> str:
@@ -195,7 +195,7 @@ def build_constraints(d: LinkDiagram) -> SemiarcSystem:
         constraints.append(
             CrossingConstraint(cid, signs[cid], under_in, over_in, under_out, over_out)
         )
-    return SemiarcSystem(semiarc_count=base, constraints=tuple(constraints))
+    return SemiarcSystem(base, tuple(constraints))
 
 
 def parse_link_file(text: str) -> dict[str, LinkDiagram]:

@@ -14,10 +14,11 @@ from collections import Counter
 from functools import lru_cache, partial
 from typing import ClassVar
 
+from .biquandle import derived_biquandle
 from .closures import _fixpoint, _ideal_pairs, _joins, _members, _pairs
 from .coloring import SearchTooLarge, _count, _survivors
 from .gauss import LinkDiagram, format_gauss_code
-from .plan import _compiled_for, derived_biquandle
+from .plan import _compiled_for
 from .tables import Record, SkewBrace
 
 __all__ = [

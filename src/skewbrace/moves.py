@@ -63,7 +63,7 @@ def apply_r1(
     added = (Passage(cid, over_first, sign), Passage(cid, not over_first, sign))
     comps = list(d.components)
     comps[c] = comps[c][:p] + added + comps[c][p:]
-    return LinkDiagram(components=tuple(comps))
+    return LinkDiagram(tuple(comps))
 
 
 def apply_r2(
@@ -96,7 +96,7 @@ def apply_r2(
     # the later gap first, so an earlier gap on the same component keeps its index
     for (c, p), track in sorted((((c1, p1), first), ((c2, p2), second)), reverse=True):
         comps[c] = comps[c][:p] + track + comps[c][p:]
-    return LinkDiagram(components=tuple(comps))
+    return LinkDiagram(tuple(comps))
 
 
 def random_move(d: LinkDiagram, rng: random.Random) -> LinkDiagram:

@@ -43,11 +43,11 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
 
-from .biquandle import Biquandle, derive_biquandle
+from .biquandle import Biquandle, derived_biquandle
 from .gauss import LinkDiagram, SemiarcSystem, build_constraints
 from .tables import Record, SkewBrace
 
-__all__ = ["derived_biquandle"]
+__all__: list[str] = []
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -61,12 +61,6 @@ def _lookup(rows: Sequence[Sequence[int]]) -> Table:
     """A table read as T[x][y] for colors x, y in 1..n; row 0 and entry 0
     of every row are padding."""
     return ((0,) * (len(rows) + 1), *((0, *row) for row in rows))
-
-
-@lru_cache(maxsize=64)
-def derived_biquandle(brace: SkewBrace) -> Biquandle:
-    """Cached derived biquandle of a validated brace."""
-    return derive_biquandle(brace)
 
 
 @lru_cache(maxsize=256)
@@ -178,12 +172,8 @@ def _compile(bq: Biquandle, system: SemiarcSystem) -> CompiledPlan:
             rows.append((v,))
             known[v] = True
         todo = left
-    return CompiledPlan(
-        plan=tuple(rows),
-        n=bq.n,
-        semiarc_count=system.semiarc_count,
-        free=tuple([x for x, k in enumerate(known) if not k]),
-    )
+    free = tuple([x for x, k in enumerate(known) if not k])
+    return CompiledPlan(tuple(rows), bq.n, system.semiarc_count, free)
 
 
 def _compiled_for(brace: SkewBrace, d: LinkDiagram) -> CompiledPlan:

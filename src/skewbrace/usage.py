@@ -3,23 +3,22 @@
 `cli` reads every plain command line itself, from its table of commands,
 and loads this module only for the rest: `-h`, usage errors and unusual
 option forms. argparse then writes every help, usage and error text and
-exits with 2 on a usage error. The table and the lookup of each command's
-function are passed in, so this module never imports `skewbrace.cli`.
+exits with 2 on a usage error. The table is passed in, so this module
+never imports `skewbrace.cli`, and the namespaces it parses hold only the
+command and its arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-from collections.abc import Callable
 
 __all__ = ["build_parser"]
 
 
-def build_parser(commands: dict, function: Callable[[str], Callable]) -> argparse.ArgumentParser:
+def build_parser(commands: dict) -> argparse.ArgumentParser:
     """The parser of `commands`, a table of command -> (help, positionals
     as (dest, help), options as flag -> (default, kind, help)), where kind
-    is `bool` for a flag, a tuple of choices or a converter; `function`
-    gives each command's function."""
+    is `bool` for a flag, a tuple of choices or a converter."""
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="Skew brace validation and coloring invariants of knots and links",
@@ -36,5 +35,4 @@ def build_parser(commands: dict, function: Callable[[str], Callable]) -> argpars
                 p.add_argument(flag, choices=kind, default=default, help=help_text)
             else:
                 p.add_argument(flag, type=kind, default=default, help=help_text)
-        p.set_defaults(func=function(command))
     return parser

@@ -32,7 +32,7 @@ from skewbrace import (
     r_map,
     validate_skew_brace,
 )
-from skewbrace.plan import derived_biquandle
+from skewbrace.biquandle import derived_biquandle
 
 from conftest import product_brace
 

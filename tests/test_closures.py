@@ -15,8 +15,8 @@ from skewbrace import (
     ideal_closure,
     is_ideal,
 )
+from skewbrace.biquandle import derived_biquandle
 from skewbrace.closures import _fixpoint, _joins
-from skewbrace.plan import derived_biquandle
 
 from conftest import trivial_cyclic_brace
 

@@ -18,8 +18,9 @@ from skewbrace import (
     parse_gauss_code,
     random_move,
 )
+from skewbrace.biquandle import derived_biquandle
 from skewbrace.moves import random_diagram_walk
-from skewbrace.plan import _solutions, derived_biquandle
+from skewbrace.plan import _solutions
 
 UNKNOT = parse_gauss_code("-")
 UNLINK2 = parse_gauss_code("- / -")

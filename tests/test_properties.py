@@ -20,8 +20,8 @@ from skewbrace import (
     parse_gauss_code,
     verify_biquandle_axioms,
 )
+from skewbrace.biquandle import derived_biquandle
 from skewbrace.moves import random_diagram_walk
-from skewbrace.plan import derived_biquandle
 from skewbrace.tables import ValidationError
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")

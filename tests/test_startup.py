@@ -216,6 +216,46 @@ def test_oracle_and_tables_load_no_numpy():
     assert (found, loaded) == (24, False)
 
 
+def test_the_oracle_loads_no_kernel_module():
+    """The reference search shares no code with the plan compiler and the
+    kernel it checks."""
+    loaded = python(
+        "import sys, skewbrace\n"
+        "skewbrace.brute_force_colorings\n"
+        "print(sorted(m for m in sys.modules if m.startswith('skewbrace.')))"
+    )
+    assert loaded == [f"skewbrace.{m}" for m in ("axioms", "biquandle", "gauss", "oracle", "tables")]
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The modules of the package that `path` imports by `from .x import`,
+    at its top or inside a function."""
+    return {
+        node.module
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_the_import_graph_has_no_cycle():
+    """No module imports one that imports it back, directly or through
+    others, whether at the top or when a function runs."""
+    graph = {path.stem: _sibling_imports(path) for path in SOURCES}
+    # modules every path from which is known to end
+    done: set[str] = set()
+
+    def cycle(path: list[str]) -> list[str] | None:
+        for m in sorted(graph[path[-1]] - done):
+            if m in path:
+                return [*path[path.index(m) :], m]
+            if found := cycle([*path, m]):
+                return found
+        done.add(path[-1])
+        return None
+
+    assert next(filter(None, (cycle([m]) for m in sorted(graph))), None) is None
+
+
 @pytest.mark.parametrize("argv", [*COMMANDS, ["invariant", "-h"]], ids=[*COMMAND_IDS, "help"])
 def test_the_running_cli_is_not_compiled_again(argv):
     """Run as `python -m skewbrace.cli`, the CLI module is `__main__`, so a

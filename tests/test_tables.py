@@ -228,6 +228,7 @@ def test_operation_table_access():
 @pytest.mark.parametrize("x", [0, -1, 5])
 def test_elements_outside_the_carrier_are_rejected(x):
     group = validate_group(OperationTable.from_rows(KLEIN))
+    assert group.n == 4
     for call in (lambda: group.table.value(x, 2), lambda: group.op(2, x), lambda: group.inv(x)):
         with pytest.raises(ValueError, match=f"^element {x} is outside 1..4$"):
             call()

@@ -20,7 +20,7 @@ from skewbrace import (
     validate_skew_brace,
     verify_biquandle_axioms,
 )
-from skewbrace.plan import derived_biquandle
+from skewbrace.biquandle import derived_biquandle
 
 BRACE_NAMES = ("klein_z4", "z4_klein", "nab6", "cyc6", "dih8", "inv8")
 
